@@ -6,7 +6,7 @@ writing Python::
     repro demo                 # Fig. 1 pipeline on a sample stream
     repro privacy              # secure vs baseline leak audit
     repro profile              # per-stage cycle/energy profile, secure vs baseline
-    repro trace                # span / trace-event dump of one run
+    repro trace                # span and event dump of one run
     repro fleet                # N simulated devices, merged fleet telemetry
     repro health               # SLO evaluation + flight-recorder dump
     repro compare              # perf-regression gate vs committed baseline
@@ -153,14 +153,11 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     finally:
         secure.close()
 
-    machine = platform.machine
-    if args.events:
-        lines = machine.trace.to_jsonl(args.category).splitlines()
-    elif args.format == "chrome":
-        print(machine.obs.tracer.to_chrome_trace(args.category))
+    tracer = platform.machine.obs.tracer
+    if args.format == "chrome":
+        print(tracer.to_chrome_trace(args.category))
         return 0
-    else:
-        lines = machine.obs.tracer.to_jsonl(args.category).splitlines()
+    lines = tracer.to_jsonl(args.category).splitlines()
     if args.limit > 0:
         dropped = max(0, len(lines) - args.limit)
         lines = lines[:args.limit]
@@ -340,7 +337,7 @@ def _cmd_tcb(args: argparse.Namespace) -> int:
         MemoryRegion("i2s_mmio", 0x0400_0000, 0x1000,
                      SecurityAttr.NONSECURE, device=True)
     )
-    controller = I2sController(machine.clock, machine.trace)
+    controller = I2sController(machine.clock, machine.obs.tracer)
     machine.memory.attach_mmio("i2s_mmio", controller)
     I2sBus(controller, DigitalMicrophone(ToneSource(), fmt=controller.format))
     kernel = Kernel(machine)
@@ -831,7 +828,7 @@ def build_parser() -> argparse.ArgumentParser:
     compare.set_defaults(func=_cmd_compare)
 
     trace = sub.add_parser(
-        "trace", help="dump spans (or raw trace events) from one secure run"
+        "trace", help="dump spans and events from one secure run"
     )
     trace.add_argument("--seed", type=int, default=7)
     trace.add_argument("--utterances", type=int, default=4)
@@ -840,12 +837,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run in continuous-capture mode",
     )
     trace.add_argument(
-        "--events", action="store_true",
-        help="dump raw TraceLog events instead of spans",
-    )
-    trace.add_argument(
         "--category", default=None,
-        help="filter to one category subtree (e.g. stage.secure, rpc, tz)",
+        help="filter to one category subtree "
+             "(e.g. stage.secure, rpc, tz.fault)",
     )
     trace.add_argument(
         "--format", choices=("jsonl", "chrome"), default="jsonl",

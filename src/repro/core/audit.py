@@ -1,10 +1,11 @@
 """Security audit reporting.
 
 One of the operational wins of the secure design: attacks that used to
-succeed silently now leave *evidence* — TZASC faults, trace events, TA
-panics.  This module condenses the machine's trace log and counters into
-the incident report a fleet operator would read, and supports simple
-anomaly queries ("did anything touch secure memory today?").
+succeed silently now leave *evidence* — TZASC faults, TA panics and the
+events that record them.  This module condenses the machine's events and
+counters into the incident report a fleet operator would read, and
+supports simple anomaly queries ("did anything touch secure memory
+today?").
 """
 
 from __future__ import annotations
@@ -62,23 +63,24 @@ def audit_machine(
     machine: TrustZoneMachine,
     supplicant=None,
 ) -> SecurityAuditReport:
-    """Build the audit report from a machine's trace and counters."""
+    """Build the audit report from a machine's events and counters."""
+    tracer = machine.obs.tracer
     violations = []
     by_region: Counter[str] = Counter()
-    for event in machine.trace.events("tz.fault"):
+    for event in tracer.spans_in("tz.fault"):
         record = ViolationRecord(
-            timestamp=event.timestamp,
-            region=str(event.data.get("region")),
-            address=int(event.data.get("addr", 0)),
-            write=bool(event.data.get("write")),
+            timestamp=event.start_cycle,
+            region=str(event.attrs.get("region")),
+            address=int(event.attrs.get("addr", 0)),
+            write=bool(event.attrs.get("write")),
         )
         violations.append(record)
         by_region[record.region] += 1
 
     panics = sum(
-        1 for e in machine.trace.events("optee.os") if e.name == "ta_panic"
+        1 for e in tracer.spans_in("optee.os") if e.name == "ta_panic"
     )
-    rpcs = machine.trace.count("optee.rpc")
+    rpcs = machine.obs.metrics.counters("optee.rpc").get("optee.rpc", 0)
     report = SecurityAuditReport(
         violations=violations,
         violations_by_region=dict(by_region),

@@ -246,8 +246,8 @@ class SecurePipeline:
         run.under_segmented = max(0, len(items) - len(records))
         run.unpaired_records = list(records[len(items):])
         if run.over_segmented or run.under_segmented:
-            machine.trace.emit(
-                machine.clock.now, "core.pipeline", "segmentation_mismatch",
+            machine.obs.tracer.emit(
+                "core.pipeline", "segmentation_mismatch",
                 items=len(items), segments=len(records),
             )
         # Cost attribution: one clock/energy delta covers the whole stream,
@@ -319,9 +319,7 @@ class SecurePipeline:
         self._seq = 0
         machine = self.platform.machine
         machine.obs.metrics.inc("client.crashes")
-        machine.trace.emit(
-            machine.clock.now, "core.pipeline", "client_crashed",
-        )
+        machine.obs.tracer.emit("core.pipeline", "client_crashed")
 
     def recover_client(self) -> dict:
         """Restart the client application after :meth:`crash_client`.
@@ -357,8 +355,8 @@ class SecurePipeline:
         self.client_restarts += 1
         machine = self.platform.machine
         machine.obs.metrics.inc("client.restarts")
-        machine.trace.emit(
-            machine.clock.now, "core.pipeline", "client_recovered",
+        machine.obs.tracer.emit(
+            "core.pipeline", "client_recovered",
             seq=self._seq, queue_depth=resume.get("queue_depth", 0),
         )
         return resume

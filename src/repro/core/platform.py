@@ -111,7 +111,7 @@ class IotPlatform:
             )
         )
         controller = I2sController(
-            machine.clock, machine.trace,
+            machine.clock, machine.obs.tracer,
             fmt=audio_format or AudioFormat(),
             fifo_depth=i2s_fifo_depth,
         )

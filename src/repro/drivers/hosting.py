@@ -8,7 +8,7 @@ needs from its environment:
   hands out *non-secure* DRAM the untrusted OS can read, while
   :class:`SecureDriverHost` hands out buffers in the *secure* carveout),
 * physical memory and MMIO access in the host's world,
-* cycle charging and trace emission,
+* cycle charging,
 * the ftrace hookpoint (``on_driver_call``).
 """
 
@@ -98,10 +98,6 @@ class KernelDriverHost:
         self.compute(self.machine.costs.driver_call_cycles)
         if self.tracer is not None and self.tracer.active:
             self.tracer.record(driver, info, caller)
-        self.machine.trace.emit(
-            self.machine.clock.now, "kernel.driver", "call",
-            driver=driver, fn=info.name, caller=caller,
-        )
 
 
 class SecureDriverHost:
@@ -154,7 +150,3 @@ class SecureDriverHost:
         self.compute(self.machine.costs.driver_call_cycles)
         if self.tracer is not None and self.tracer.active:
             self.tracer.record(driver, info, caller)
-        self.machine.trace.emit(
-            self.machine.clock.now, "optee.driver", "call",
-            driver=driver, fn=info.name, caller=caller,
-        )

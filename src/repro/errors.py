@@ -128,10 +128,6 @@ class DeviceNotFound(KernelError):
     """No device/driver is registered under the requested name."""
 
 
-class DeviceBusy(DriverError):
-    """The device is already claimed by another stream."""
-
-
 class DeviceStateError(DriverError):
     """Operation invalid in the device's current state (e.g. read before start)."""
 
@@ -155,10 +151,6 @@ class PeripheralError(ReproError):
 
 class BusProtocolError(PeripheralError):
     """An I²S (or other bus) framing/protocol rule was violated."""
-
-
-class FifoOverrunError(PeripheralError):
-    """Producer outran the consumer and the hardware FIFO overflowed."""
 
 
 class FifoUnderrunError(PeripheralError):
@@ -212,11 +204,7 @@ class RecordError(CryptoError):
 # ---------------------------------------------------------------------------
 
 
-class PipelineError(ReproError):
-    """Base class for end-to-end pipeline orchestration failures."""
-
-
-class PolicyError(PipelineError):
+class PolicyError(ReproError):
     """A filtering policy was misconfigured."""
 
 

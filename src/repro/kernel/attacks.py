@@ -68,8 +68,8 @@ class BufferSnoopAttack:
                 result.captured.append(data)
             except SecureAccessViolation:
                 result.violations += 1
-        self.machine.trace.emit(
-            self.machine.clock.now, "attack.snoop", "run",
+        self.machine.obs.tracer.emit(
+            "attack.snoop", "run",
             attempted=result.attempted,
             captured=len(result.captured),
             violations=result.violations,

@@ -1,12 +1,11 @@
 """Observability: spans, metrics and profiling for the simulated platform.
 
-Layers on the existing :class:`~repro.sim.trace.TraceLog` event stream:
-
-* :mod:`repro.obs.span` — enter/exit spans with cycle, per-domain,
-  world-switch and energy attribution; JSONL and Chrome ``trace_event``
-  export.
-* :mod:`repro.obs.metrics` — counters, gauges and cycle histograms with
-  exact p50/p95/p99.
+* :mod:`repro.obs.span` — the simulator's one event model: enter/exit
+  spans with cycle, per-domain, world-switch and energy attribution, and
+  events as zero-length spans (``tracer.emit``); JSONL and Chrome
+  ``trace_event`` export.
+* :mod:`repro.obs.metrics` — counters, gauges and mergeable bucketed
+  histograms (exact p50/p95/p99 under their sample cap).
 * :mod:`repro.obs.context` — the per-machine bundle (``machine.obs``).
 * :mod:`repro.obs.profile` — per-stage secure-vs-baseline cost profiles
   backing ``repro profile`` and the T10 benchmark.
@@ -35,7 +34,6 @@ from repro.obs.health import (
 from repro.obs.metrics import (
     BucketHistogram,
     Counter,
-    CycleHistogram,
     Gauge,
     MetricsRegistry,
 )
@@ -44,7 +42,6 @@ from repro.obs.span import Span, SpanTracer
 __all__ = [
     "BucketHistogram",
     "Counter",
-    "CycleHistogram",
     "FlightRecorder",
     "Gauge",
     "HealthMonitor",

@@ -20,21 +20,15 @@ from repro.sim.clock import CycleDomain, SimClock
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.energy.model import EnergyMeter
     from repro.obs.health import FlightRecorder
-    from repro.sim.trace import TraceLog
     from repro.tz.worlds import Cpu
 
 
 class Observability:
     """Span tracer + metrics registry for one machine."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        trace: "TraceLog | None" = None,
-        cpu: "Cpu | None" = None,
-    ):
+    def __init__(self, clock: SimClock, cpu: "Cpu | None" = None):
         self.metrics = MetricsRegistry()
-        self.tracer = SpanTracer(clock, trace=trace, cpu=cpu, metrics=self.metrics)
+        self.tracer = SpanTracer(clock, cpu=cpu, metrics=self.metrics)
         self._clock = clock
         clock.subscribe(self._on_charge)
 
@@ -53,21 +47,25 @@ class Observability:
         self.tracer.attach_energy(meter)
 
     def attach_recorder(self, recorder: "FlightRecorder | None") -> None:
-        """Feed closed spans into a health flight recorder."""
+        """Feed closed spans and events into a health flight recorder."""
         self.tracer.attach_recorder(recorder)
 
     def enable(self) -> None:
-        """Resume span retention and metric recording."""
+        """Resume span and event retention and metric recording."""
         self.tracer.enabled = True
         self.metrics.enabled = True
 
     def disable(self) -> None:
-        """Stop retaining spans and recording metrics.
+        """Stop retaining spans and events and recording metrics.
 
+        Spans and events already retained are dropped too, so a machine
+        disabled right after construction keeps none of its boot events.
         Spans still *measure* (TA stage accounting depends on their
-        durations); they just are not kept, counted or mirrored.  Because
-        instrumentation is passive either way, a disabled run produces
-        byte-identical pipeline outcomes to an enabled one.
+        durations); they just are not kept or counted, and events are
+        discarded.  An attached flight recorder keeps receiving both.
+        Because instrumentation is passive either way, a disabled run
+        produces byte-identical pipeline outcomes to an enabled one.
         """
         self.tracer.enabled = False
+        self.tracer.clear()
         self.metrics.enabled = False

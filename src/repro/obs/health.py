@@ -441,12 +441,17 @@ def span_heartbeats(spans) -> dict[str, int]:
 
     Each span counts as a heartbeat for its top-level category
     (``stage.secure`` beats ``stage``); the returned map is the newest
-    ``end_cycle`` per track.  This is the serializable essence of the
-    watchdog's input: a fleet device report carries it across process
-    boundaries so the watchdog can run without the live tracer.
+    ``end_cycle`` per track.  Zero-length spans are events, not work, so
+    they beat nothing: a one-off boot event must not open a track the
+    watchdog would later report as stalled.  This is the serializable
+    essence of the watchdog's input: a fleet device report carries it
+    across process boundaries so the watchdog can run without the live
+    tracer.
     """
     last_end: dict[str, int] = {}
     for sp in spans:
+        if sp.end_cycle == sp.start_cycle:
+            continue
         track = sp.category.split(".")[0]
         last_end[track] = max(last_end.get(track, 0), sp.end_cycle)
     return last_end
@@ -478,12 +483,12 @@ def check_heartbeats(
 class Watchdog:
     """Flags span categories that stopped producing heartbeats.
 
-    Each retained span counts as a heartbeat for its top-level category
-    (``stage.secure`` beats ``stage``).  A category whose newest span
-    ended more than ``stall_cycles`` before the clock's current cycle is
-    stalled; a tracer with *no* retained spans at all reports the
-    sentinel ``(no spans)`` category so a dead pipeline cannot look
-    healthy.
+    Each retained span of non-zero length counts as a heartbeat for its
+    top-level category (``stage.secure`` beats ``stage``).  A category
+    whose newest span ended more than ``stall_cycles`` before the clock's
+    current cycle is stalled; a tracer with *no* such spans at all
+    reports the sentinel ``(no spans)`` category so a dead pipeline
+    cannot look healthy.
     """
 
     def __init__(self, tracer: "SpanTracer", clock: "SimClock",

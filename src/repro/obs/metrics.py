@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and cycle histograms.
+"""Metrics registry: counters, gauges and mergeable histograms.
 
 The registry is the aggregate side of the observability layer: spans and
 instrumented subsystems feed it, and ``repro profile`` / benchmarks read
@@ -7,17 +7,13 @@ charges simulated cycles, touches the RNG, or otherwise perturbs the run,
 which is what lets the instrumentation guarantee byte-identical pipeline
 outcomes whether observability is enabled or not.
 
-Two histogram flavours:
-
-* :class:`CycleHistogram` keeps raw samples (bounded by ``max_samples``
-  with head-keep semantics) so percentiles are exact for bounded runs —
-  the per-stage profiler uses it because stage counts are small.
-* :class:`BucketHistogram` is the fleet-scale variant: deterministic
-  log-spaced buckets (DDSketch-style, relative-error bound ``gamma``)
-  that stay exact while under the sample cap, degrade to bucket
-  estimates for unbounded streams, and — the point — **merge** across
-  devices without bias.  Registry histograms are bucketed so whole
-  registries can be merged into fleet aggregates.
+One histogram type, :class:`BucketHistogram`: deterministic log-spaced
+buckets (DDSketch-style, relative-error bound ``gamma``) that keep raw
+samples and exact percentiles while under the sample cap, degrade to
+bucket estimates for unbounded streams, and — the point — **merge**
+across devices without bias.  Registry histograms are bucketed so whole
+registries can be merged into fleet aggregates; the per-stage profiler
+uses the same type, exact because stage counts are small.
 
 Two fleet-scale additions ride on the bucket machinery:
 
@@ -74,97 +70,6 @@ class Gauge:
         self.value = value
 
 
-@dataclass
-class CycleHistogram:
-    """Distribution of a cycle-valued measurement with exact percentiles.
-
-    Samples are retained with *head-keep* semantics: the first
-    ``max_samples`` observations are kept verbatim and later ones still
-    update ``count``/``total``/``min``/``max`` but are **not** retained,
-    so once :attr:`truncated` is true the percentiles describe only the
-    head of the stream (a biased subset if the distribution drifts).
-    :meth:`summary` reports ``truncated`` and ``retained`` so consumers
-    can tell exact percentiles from head-kept ones; use
-    :class:`BucketHistogram` when the stream is unbounded.
-    """
-
-    name: str
-    max_samples: int = 65_536
-    count: int = 0
-    total: int = 0
-    min: int | None = None
-    max: int | None = None
-    _samples: list[int] = field(default_factory=list, repr=False)
-
-    def observe(self, value: int) -> None:
-        """Record one sample."""
-        value = int(value)
-        self.count += 1
-        self.total += value
-        self.min = value if self.min is None else min(self.min, value)
-        self.max = value if self.max is None else max(self.max, value)
-        if len(self._samples) < self.max_samples:
-            self._samples.append(value)
-
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0..100) over retained samples."""
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return float(ordered[0])
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = int(rank)
-        hi = min(lo + 1, len(ordered) - 1)
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
-
-    @property
-    def p50(self) -> float:
-        """Median."""
-        return self.percentile(50)
-
-    @property
-    def p95(self) -> float:
-        """95th percentile."""
-        return self.percentile(95)
-
-    @property
-    def p99(self) -> float:
-        """99th percentile."""
-        return self.percentile(99)
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean over all observed samples."""
-        return self.total / self.count if self.count else 0.0
-
-    @property
-    def truncated(self) -> bool:
-        """True once percentiles cover only a head-kept subset."""
-        return self.count > len(self._samples)
-
-    def summary(self) -> dict[str, Any]:
-        """Flat dict for reports (count/total/mean/min/max/percentiles).
-
-        ``truncated`` / ``retained`` expose the head-keep cap: when
-        ``truncated`` is true, only the first ``retained`` samples back
-        the percentile fields.
-        """
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min or 0,
-            "max": self.max or 0,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "truncated": self.truncated,
-            "retained": len(self._samples),
-        }
-
-
 class BucketHistogram:
     """Mergeable distribution with deterministic log-spaced buckets.
 
@@ -173,9 +78,9 @@ class BucketHistogram:
     bucket-based quantile estimate is the true quantile within one
     bucket's relative error — ``q <= estimate <= q * gamma``.  While the
     total count is at most ``max_samples`` the raw samples are retained
-    too and quantiles are *exact* (interpolated, matching
-    :class:`CycleHistogram`); past the cap the samples are dropped and
-    estimates come from the buckets — no head-keep truncation bias.
+    too and quantiles are *exact* (linearly interpolated over the sorted
+    samples); past the cap the samples are dropped and estimates come
+    from the buckets — no head-keep truncation bias.
 
     ``merge`` combines two histograms of the same ``gamma`` into the
     distribution of the concatenated streams; it is associative and

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.metrics import CycleHistogram
+from repro.obs.metrics import BucketHistogram
 from repro.obs.span import Span
 
 # Fig. 1 order first, connection/transport sub-stages after.
@@ -132,7 +132,7 @@ def aggregate_stage_spans(
     rows = []
     for stage in sorted(by_stage, key=_stage_key):
         group = by_stage[stage]
-        hist = CycleHistogram(name=stage)
+        hist = BucketHistogram(stage)
         for sp in group:
             hist.observe(sp.cycles)
         rows.append(
@@ -140,7 +140,7 @@ def aggregate_stage_spans(
                 pipeline=pipeline,
                 stage=stage,
                 count=hist.count,
-                total_cycles=hist.total,
+                total_cycles=int(hist.total),
                 mean_cycles=hist.mean,
                 p50_cycles=hist.p50,
                 p95_cycles=hist.p95,

@@ -1,4 +1,4 @@
-"""Span-based tracing layered on the simulator's :class:`TraceLog`.
+"""Span-based tracing: the simulator's one event model.
 
 A :class:`Span` brackets one region of the simulated run — a pipeline
 stage, a TLS handshake, a supplicant RPC — and attributes to it the cycles
@@ -7,13 +7,20 @@ energy spent inside it.  Spans nest: the tracer keeps an enter/exit stack,
 so a ``relay`` stage span naturally parents the ``tls_handshake`` and
 ``tls_record`` spans opened while it is active.
 
+An *event* (a TZASC fault, a TA panic, a relay throttle) is a zero-length
+span recorded by :meth:`SpanTracer.emit`: it starts and ends at the
+current cycle, parents to the innermost open span, and is retained,
+recorded and exported like any other span.  Events do not feed the
+metrics registry (counters already count what they report) and do not
+count as watchdog heartbeats.
+
 Measurement is *passive*: opening or closing a span reads the clock, the
 CPU switch counter and the energy meter but never charges cycles, never
 touches the RNG, and never alters control flow — runs are byte-identical
 with tracing enabled or disabled.  The TA-side stage accounting
 (``CMD_STATS``) reads span durations, so spans always measure even while
-*retention* is disabled; disabling only stops the tracer from keeping the
-span, feeding metrics and mirroring into the trace log.
+*retention* is disabled; disabling only stops the tracer from keeping
+spans and events and from feeding metrics.
 
 Exports: JSON Lines (round-trippable via :meth:`SpanTracer.from_jsonl`)
 and the Chrome ``trace_event`` format (load in ``chrome://tracing`` /
@@ -31,7 +38,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.energy.model import EnergyMeter
     from repro.obs.health import FlightRecorder
     from repro.obs.metrics import MetricsRegistry
-    from repro.sim.trace import TraceLog
     from repro.tz.worlds import Cpu
 
 
@@ -132,18 +138,16 @@ class _ActiveSpan:
 class SpanTracer:
     """Creates, nests, retains and exports spans.
 
-    ``capacity`` bounds retention the same way :class:`TraceLog` does:
-    when full, the oldest half is evicted and ``dropped_spans`` counts the
-    loss.  Wiring the optional collaborators (``trace`` mirror, ``cpu``
-    for switch counts, energy meter, metrics registry) is additive — the
-    tracer degrades gracefully when any is absent, so unit tests can run
-    it against a bare clock.
+    ``capacity`` bounds retention: when full, the oldest half is evicted
+    and ``dropped_spans`` counts the loss.  Wiring the optional
+    collaborators (``cpu`` for switch counts, energy meter, metrics
+    registry) is additive — the tracer degrades gracefully when any is
+    absent, so unit tests can run it against a bare clock.
     """
 
     def __init__(
         self,
         clock: SimClock,
-        trace: "TraceLog | None" = None,
         cpu: "Cpu | None" = None,
         metrics: "MetricsRegistry | None" = None,
         capacity: int = 100_000,
@@ -151,7 +155,6 @@ class SpanTracer:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self._clock = clock
-        self._trace = trace
         self._cpu = cpu
         self._metrics = metrics
         self._energy: "EnergyMeter | None" = None
@@ -168,7 +171,7 @@ class SpanTracer:
         self._energy = meter
 
     def attach_recorder(self, recorder: "FlightRecorder | None") -> None:
-        """Feed every closed span into a health flight recorder.
+        """Feed every closed span and event into a health flight recorder.
 
         The recorder sees spans even while retention is disabled —
         attachment is the opt-in, and recording is as passive as
@@ -189,6 +192,26 @@ class SpanTracer:
         )
         self._next_id += 1
         return _ActiveSpan(self, sp)
+
+    def emit(self, category: str, name: str, **attrs: Any) -> None:
+        """Record an event: a zero-length span at the current cycle.
+
+        The event parents to the innermost open span and goes through the
+        same retention, capacity and flight-recorder path as a closed
+        span, but it never feeds the metrics registry.
+        """
+        now = self._clock.now
+        sp = Span(
+            id=self._next_id,
+            name=name,
+            category=category,
+            start_cycle=now,
+            end_cycle=now,
+            parent_id=self._stack[-1].id if self._stack else None,
+            attrs=attrs,
+        )
+        self._next_id += 1
+        self._keep(sp)
 
     def _begin(self, active: _ActiveSpan) -> None:
         sp = active.span
@@ -222,25 +245,23 @@ class SpanTracer:
             sp.world_switches = self._cpu.switch_count - active._start_switches
         if self._energy is not None and active._start_energy is not None:
             sp.energy_mj = self._energy.delta_since(active._start_energy).total_mj
+        if self._keep(sp) and self._metrics is not None:
+            self._metrics.observe(f"{sp.category}.{sp.name}.cycles", sp.cycles)
+            self._metrics.inc(f"{sp.category}.{sp.name}.count")
+
+    def _keep(self, sp: Span) -> bool:
+        """Record a finished span; returns whether it was retained."""
         if self._recorder is not None:
             self._recorder.record(sp)
         if not self.enabled:
-            return
+            return False
         if len(self.spans) >= self.capacity:
             drop = max(1, self.capacity // 2)
             drop = max(drop, len(self.spans) - self.capacity + 1)
             del self.spans[:drop]
             self.dropped_spans += drop
         self.spans.append(sp)
-        if self._metrics is not None:
-            self._metrics.observe(f"{sp.category}.{sp.name}.cycles", sp.cycles)
-            self._metrics.inc(f"{sp.category}.{sp.name}.count")
-        if self._trace is not None:
-            self._trace.emit(
-                sp.end_cycle, "obs.span", sp.name,
-                span_category=sp.category, cycles=sp.cycles, id=sp.id,
-                parent=sp.parent_id,
-            )
+        return True
 
     # -- reading back ------------------------------------------------------------
 

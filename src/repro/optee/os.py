@@ -81,7 +81,7 @@ class OpTeeOs:
         mon = self.machine.monitor
         mon.register(SmcFunction.CALL_WITH_ARG, self._handle_call)
         mon.register(SmcFunction.GET_SHM_CONFIG, self._handle_shm_config)
-        self.machine.trace.emit(self.machine.clock.now, "optee.os", "boot")
+        self.machine.obs.tracer.emit("optee.os", "boot")
 
     def _handle_shm_config(self) -> dict[str, int]:
         shm = self.machine.shmem
@@ -133,9 +133,8 @@ class OpTeeOs:
             verify_ta(ta_class, signature, self._ta_verification_key)
         probe = ta_class()
         self._ta_classes[probe.uuid] = ta_class
-        self.machine.trace.emit(
-            self.machine.clock.now, "optee.os", "install_ta",
-            ta=probe.name, uuid=str(probe.uuid),
+        self.machine.obs.tracer.emit(
+            "optee.os", "install_ta", ta=probe.name, uuid=str(probe.uuid)
         )
         return probe.uuid
 
@@ -147,9 +146,8 @@ class OpTeeOs:
         """Register a pseudo TA (boot-time, OS privilege)."""
         pta.on_register(PtaContext(self, pta))
         self._ptas[pta.uuid] = pta
-        self.machine.trace.emit(
-            self.machine.clock.now, "optee.os", "register_pta",
-            pta=pta.name, uuid=str(pta.uuid),
+        self.machine.obs.tracer.emit(
+            "optee.os", "register_pta", pta=pta.name, uuid=str(pta.uuid)
         )
         return pta.uuid
 
@@ -196,9 +194,8 @@ class OpTeeOs:
         session = Session(ta=ta)
         self._sessions[session.id] = session
         self._run_ta_hook(ta, lambda: ta.on_open_session(session, params))
-        self.machine.trace.emit(
-            self.machine.clock.now, "optee.os", "open_session",
-            ta=ta.name, session=session.id,
+        self.machine.obs.tracer.emit(
+            "optee.os", "open_session", ta=ta.name, session=session.id
         )
         return session.id
 
@@ -213,10 +210,6 @@ class OpTeeOs:
         self.machine.cpu.execute(self.machine.costs.ta_invoke_cycles)
         self.machine.obs.metrics.inc("optee.ta_invoke")
         session.invoke_count += 1
-        self.machine.trace.emit(
-            self.machine.clock.now, "optee.ta.invoke", "cmd",
-            ta=session.ta.name, session=session_id, cmd=cmd,
-        )
         return self._run_ta_hook(
             session.ta, lambda: session.ta.on_invoke(session, cmd, params)
         )
@@ -259,9 +252,8 @@ class OpTeeOs:
                 if s.ta is ta:
                     s.kill()
             self.machine.obs.metrics.inc("tee.panics")
-            self.machine.trace.emit(
-                self.machine.clock.now, "optee.os", "ta_panic",
-                ta=ta.name, error=repr(exc),
+            self.machine.obs.tracer.emit(
+                "optee.os", "ta_panic", ta=ta.name, error=repr(exc)
             )
             if during_teardown:
                 return None  # teardown panics are contained
@@ -287,9 +279,8 @@ class OpTeeOs:
         for sid in [s.id for s in self._sessions.values() if s.ta is ta]:
             self._sessions.pop(sid, None)
         self.machine.obs.metrics.inc("tee.reaped")
-        self.machine.trace.emit(
-            self.machine.clock.now, "optee.os", "ta_reaped",
-            ta=ta.name, uuid=str(uuid),
+        self.machine.obs.tracer.emit(
+            "optee.os", "ta_reaped", ta=ta.name, uuid=str(uuid)
         )
         return True
 
@@ -315,11 +306,6 @@ class OpTeeOs:
 
             raise InjectedFault(f"injected PTA transfer error ({pta.name})")
         pta.invoke_count += 1
-        self.machine.trace.emit(
-            self.machine.clock.now, "optee.pta.invoke", "cmd",
-            pta=pta.name, cmd=cmd,
-            caller=caller.name if caller is not None else None,
-        )
         return pta.on_invoke(cmd, payload, caller)
 
     # -- supplicant RPC -------------------------------------------------------------------
@@ -335,10 +321,6 @@ class OpTeeOs:
         self.machine.cpu.execute(self.machine.costs.supplicant_rpc_cycles)
         self.rpc_count += 1
         self.machine.obs.metrics.inc("optee.rpc")
-        self.machine.trace.emit(
-            self.machine.clock.now, "optee.rpc", "call",
-            service=service, method=method,
-        )
         with self.machine.obs.span(f"{service}.{method}", category="rpc"):
             return self.machine.monitor.secure_call_to_normal(
                 lambda: supplicant.handle(service, method, *args)

@@ -65,9 +65,9 @@ class PtaContext:
         self._os.machine.secure_allocator.free(addr)
 
     def log(self, name: str, **data: Any) -> None:
-        """Emit a PTA-scoped trace event."""
-        self._os.machine.trace.emit(
-            self._os.machine.clock.now, f"optee.pta.{self._pta.name}", name, **data
+        """Emit a PTA-scoped event on the machine's tracer."""
+        self._os.machine.obs.tracer.emit(
+            f"optee.pta.{self._pta.name}", name, **data
         )
 
 

@@ -170,8 +170,8 @@ class TaSupervisor:
         self._dead = True
         self.panics_seen += 1
         self._death_cycle = self._machine.clock.now
-        self._machine.trace.emit(
-            self._machine.clock.now, "optee.supervisor", "ta_dead",
+        self._machine.obs.tracer.emit(
+            "optee.supervisor", "ta_dead",
             uuid=str(self._uuid), panics=self.panics_seen,
         )
 
@@ -206,9 +206,8 @@ class TaSupervisor:
                     # on_create, heap exhaustion, corrupt checkpoint
                     # cascade...) — back off and try again.
                     self.restart_failures += 1
-                    machine.trace.emit(
-                        machine.clock.now, "optee.supervisor",
-                        "restart_failed",
+                    machine.obs.tracer.emit(
+                        "optee.supervisor", "restart_failed",
                         attempt=attempt, error=type(exc).__name__,
                     )
                     continue
@@ -218,8 +217,8 @@ class TaSupervisor:
                 machine.obs.metrics.observe(
                     "tee.recovery_cycles", machine.clock.now - start
                 )
-                machine.trace.emit(
-                    machine.clock.now, "optee.supervisor", "ta_restarted",
+                machine.obs.tracer.emit(
+                    "optee.supervisor", "ta_restarted",
                     attempt=attempt, recovery_cycles=machine.clock.now - start,
                 )
                 return True

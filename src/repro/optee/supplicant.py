@@ -172,8 +172,4 @@ class TeeSupplicant:
             raise TeeCommunicationError(f"supplicant: unknown service {service!r}")
         self.handled += 1
         self._machine.obs.metrics.inc(f"supplicant.{service}.{method}")
-        self._machine.trace.emit(
-            self._machine.clock.now, "optee.supplicant", "handle",
-            service=service, method=method,
-        )
         return target.call(method, *args)

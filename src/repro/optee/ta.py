@@ -40,7 +40,7 @@ class TaContext:
 
     Everything a TA does that has a cost or a privilege implication funnels
     through here, so the OS can charge cycles, enforce the heap budget and
-    log trace events uniformly.
+    record events uniformly.
     """
 
     def __init__(self, os: "OpTeeOs", ta: "TrustedApplication"):
@@ -93,8 +93,8 @@ class TaContext:
         """
         owner = self._os.heap.owner_of(addr, size)
         if owner != str(self._ta.uuid):
-            self._os.machine.trace.emit(
-                self._os.machine.clock.now, "optee.isolation", "violation",
+            self._os.machine.obs.tracer.emit(
+                "optee.isolation", "violation",
                 ta=self._ta.name, addr=addr, owner=owner,
             )
             raise TeeAccessDenied(
@@ -164,9 +164,9 @@ class TaContext:
     # -- tracing / observability -----------------------------------------------------
 
     def log(self, name: str, **data: Any) -> None:
-        """Emit a TA-scoped trace event."""
-        self._os.machine.trace.emit(
-            self._os.machine.clock.now, f"optee.ta.{self._ta.name}", name, **data
+        """Emit a TA-scoped event on the machine's tracer."""
+        self._os.machine.obs.tracer.emit(
+            f"optee.ta.{self._ta.name}", name, **data
         )
 
     def span(

@@ -58,8 +58,4 @@ class DmaEngine:
             self.machine.clock.advance(len(words) * 2, CycleDomain.DMA)
         self.transfers += 1
         self.words_moved += len(words)
-        self.machine.trace.emit(
-            self.machine.clock.now, "periph.dma", "transfer",
-            words=len(words), dest=dest_addr, world=world.value,
-        )
         return len(words)

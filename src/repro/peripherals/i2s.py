@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 import struct
 from collections import deque
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -33,8 +34,10 @@ from repro.errors import BusProtocolError, FifoUnderrunError
 from repro.peripherals.audio import AudioFormat
 from repro.peripherals.microphone import DigitalMicrophone
 from repro.sim.clock import CycleDomain, SimClock
-from repro.sim.trace import TraceLog
 from repro.tz.memory import MmioHandler
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.span import SpanTracer
 
 
 class I2sReg(enum.IntEnum):
@@ -165,12 +168,12 @@ class I2sController(MmioHandler):
     def __init__(
         self,
         clock: SimClock,
-        trace: TraceLog,
+        tracer: "SpanTracer",
         fmt: AudioFormat | None = None,
         fifo_depth: int = 64,
     ):
         self.clock = clock
-        self.trace = trace
+        self.tracer = tracer
         self.format = fmt or AudioFormat()
         self.fifo_depth = fifo_depth
         self._fifo = _WordFifo()
@@ -235,11 +238,7 @@ class I2sController(MmioHandler):
         if dropped:
             self._overrun_sticky = True
             self._overrun_count += dropped
-        if self._overrun_sticky:
-            self.trace.emit(
-                self.clock.now, "periph.i2s", "overrun",
-                dropped=n_frames - accepted,
-            )
+            self.tracer.emit("periph.i2s", "overrun", dropped=dropped)
             # Edge-triggered interrupt on the first overrun occurrence.
             if not was_overrun and self._irq_callback is not None:
                 self._irq_callback()

@@ -91,9 +91,8 @@ def route_health_alert(
             except TeeError:
                 pass
     except TeeError as exc:
-        platform.machine.trace.emit(
-            platform.machine.clock.now, "relay.alerts", "alert_failed",
-            error=type(exc).__name__,
+        platform.machine.obs.tracer.emit(
+            "relay.alerts", "alert_failed", error=type(exc).__name__
         )
         return {"status": "failed", "error": type(exc).__name__}
     finally:

@@ -1,17 +1,16 @@
 """Deterministic simulation substrate.
 
 Everything in the repro stack runs on top of this package: a cycle-accurate
-:class:`~repro.sim.clock.SimClock` that subsystems charge work to, a seeded
-:class:`~repro.sim.rng.SimRng` so every run is reproducible, and a
-structured :class:`~repro.sim.trace.TraceLog` that records simulation events
-for tests, debugging and the benchmark harness.
+:class:`~repro.sim.clock.SimClock` that subsystems charge work to and a
+seeded :class:`~repro.sim.rng.SimRng` so every run is reproducible.
+Simulation events are zero-length spans on the machine's tracer
+(:meth:`repro.obs.span.SpanTracer.emit`).
 """
 
 from repro.sim.clock import CycleDomain, SimClock
 from repro.sim.config import SimConfig
 from repro.sim.faults import FaultConfig, FaultInjector
 from repro.sim.rng import SimRng
-from repro.sim.trace import TraceEvent, TraceLog
 
 __all__ = [
     "CycleDomain",
@@ -20,6 +19,4 @@ __all__ = [
     "SimClock",
     "SimConfig",
     "SimRng",
-    "TraceEvent",
-    "TraceLog",
 ]

@@ -1,9 +1,9 @@
 """Top-level simulation configuration.
 
 :class:`SimConfig` gathers the knobs that span subsystems — the master
-seed, CPU frequency, and trace capacity — and builds the shared substrate
-objects.  Subsystem-specific cost tables live next to their subsystems
-(e.g. :class:`repro.tz.costs.CostModel`).
+seed and CPU frequency — and builds the shared substrate objects.
+Subsystem-specific cost tables live next to their subsystems (e.g.
+:class:`repro.tz.costs.CostModel`).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 
 from repro.sim.clock import DEFAULT_FREQ_HZ, SimClock
 from repro.sim.rng import SimRng
-from repro.sim.trace import TraceLog
 
 
 @dataclass
@@ -21,8 +20,6 @@ class SimConfig:
 
     seed: int = 42
     freq_hz: float = DEFAULT_FREQ_HZ
-    trace_capacity: int = 1_000_000
-    trace_enabled: bool = True
     metadata: dict = field(default_factory=dict)
 
     def build_clock(self) -> SimClock:
@@ -32,10 +29,3 @@ class SimConfig:
     def build_rng(self) -> SimRng:
         """Create the master RNG configured by this instance."""
         return SimRng(self.seed)
-
-    def build_trace(self) -> TraceLog:
-        """Create the trace log configured by this instance."""
-        log = TraceLog(capacity=self.trace_capacity)
-        if not self.trace_enabled:
-            log.disable()
-        return log

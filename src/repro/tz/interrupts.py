@@ -21,13 +21,16 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import SecureAccessViolation, TrustZoneError
 from repro.sim.clock import SimClock
-from repro.sim.trace import TraceLog
 from repro.tz.costs import CostModel
 from repro.tz.monitor import SecureMonitor
 from repro.tz.worlds import Cpu, World
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.span import SpanTracer
 
 IRQ_I2S = 32  # the I2S controller's interrupt line
 IRQ_CAMERA = 33
@@ -48,13 +51,13 @@ class InterruptController:
         cpu: Cpu,
         monitor: SecureMonitor,
         clock: SimClock,
-        trace: TraceLog,
+        tracer: "SpanTracer",
         costs: CostModel,
     ):
         self._cpu = cpu
         self._monitor = monitor
         self._clock = clock
-        self._trace = trace
+        self._tracer = tracer
         self._costs = costs
         self._lines: dict[int, _Line] = {}
         self.delivered: dict[World, int] = {World.NORMAL: 0, World.SECURE: 0}
@@ -77,9 +80,8 @@ class InterruptController:
                 f"normal world attempted to configure interrupt line {line}"
             )
         self._lines[line] = _Line(world=world, handler=handler)
-        self._trace.emit(
-            self._clock.now, "tz.gic", "configure",
-            line=line, world=world.value,
+        self._tracer.emit(
+            "tz.gic", "configure", line=line, world=world.value
         )
 
     def observed_by(self, world: World) -> int:
@@ -104,9 +106,8 @@ class InterruptController:
         entry.count += 1
         self.delivered[entry.world] += 1
         self._clock.advance(self._costs.interrupt_cycles, entry.world.domain)
-        self._trace.emit(
-            self._clock.now, "tz.gic", "deliver",
-            line=line, world=entry.world.value,
+        self._tracer.emit(
+            "tz.gic", "deliver", line=line, world=entry.world.value
         )
         if entry.world is self._cpu.world:
             entry.handler()

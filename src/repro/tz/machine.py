@@ -1,8 +1,9 @@
 """The composed TrustZone machine.
 
-:class:`TrustZoneMachine` wires together the clock, trace log, physical
-memory with TZASC, a CPU, and the secure monitor, and lays out a memory map
-patterned on the Jetson AGX Xavier class of devices:
+:class:`TrustZoneMachine` wires together the clock, observability (span
+tracer and metrics), physical memory with TZASC, a CPU, and the secure
+monitor, and lays out a memory map patterned on the Jetson AGX Xavier
+class of devices:
 
 ========================  ==========  ========  =========
 region                    base        size      attribute
@@ -27,7 +28,6 @@ from repro.obs import Observability
 from repro.sim.clock import SimClock
 from repro.sim.config import SimConfig
 from repro.sim.rng import SimRng
-from repro.sim.trace import TraceLog
 from repro.tz.costs import CostModel
 from repro.tz.memory import (
     MemoryAllocator,
@@ -60,11 +60,12 @@ class TrustZoneMachine:
     def __init__(self, config: MachineConfig | None = None):
         self.config = config or MachineConfig()
         self.clock: SimClock = self.config.sim.build_clock()
-        self.trace: TraceLog = self.config.sim.build_trace()
         self.rng: SimRng = self.config.sim.build_rng()
         self.costs: CostModel = self.config.costs
+        self.cpu = Cpu(self.clock)
+        self.obs = Observability(self.clock, self.cpu)
 
-        self.memory = PhysicalMemory(self.clock, self.trace, self.costs)
+        self.memory = PhysicalMemory(self.clock, self.obs.tracer, self.costs)
         self.dram_ns = self.memory.add_region(
             MemoryRegion("dram_ns", 0x8000_0000, self.config.dram_ns_bytes,
                          SecurityAttr.NONSECURE)
@@ -86,14 +87,12 @@ class TrustZoneMachine:
                          SecurityAttr.NONSECURE, device=True)
         )
 
-        self.cpu = Cpu(self.clock)
-        self.obs = Observability(self.clock, self.trace, self.cpu)
-        self.monitor = SecureMonitor(self.cpu, self.clock, self.trace, self.costs,
+        self.monitor = SecureMonitor(self.cpu, self.clock, self.costs,
                                      metrics=self.obs.metrics)
         from repro.tz.interrupts import InterruptController
 
         self.gic = InterruptController(
-            self.cpu, self.monitor, self.clock, self.trace, self.costs
+            self.cpu, self.monitor, self.clock, self.obs.tracer, self.costs
         )
 
         # Allocators over the general-purpose regions.

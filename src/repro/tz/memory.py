@@ -11,7 +11,7 @@ This module models:
 * :class:`MemoryRegion` — one contiguous range with a byte backing store,
 * :class:`Tzasc` — the partition table and the access check,
 * :class:`PhysicalMemory` — the address-space router that performs every
-  load/store, charging cycles and emitting trace events,
+  load/store, charging cycles and recording TZASC faults as events,
 * :class:`MemoryAllocator` — a first-fit allocator used for both the
   normal-world heap and the OP-TEE secure heap.
 """
@@ -21,13 +21,15 @@ from __future__ import annotations
 import enum
 import mmap
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.errors import InvalidAddressError, SecureAccessViolation
-from repro.sim.clock import CycleDomain, SimClock
-from repro.sim.trace import TraceLog
+from repro.sim.clock import SimClock
 from repro.tz.costs import CostModel
 from repro.tz.worlds import World
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.span import SpanTracer
 
 
 class SecurityAttr(enum.Enum):
@@ -103,9 +105,9 @@ class Tzasc:
     is how OP-TEE claims carveouts at boot.
     """
 
-    def __init__(self, trace: TraceLog | None = None):
+    def __init__(self, tracer: "SpanTracer | None" = None):
         self._attrs: dict[str, SecurityAttr] = {}
-        self._trace = trace
+        self._tracer = tracer
 
     def register(self, region: MemoryRegion) -> None:
         """Add a partition with the region's declared attribute."""
@@ -129,8 +131,10 @@ class Tzasc:
             )
         self._attrs[region.name] = attr
         region.attr = attr
-        if self._trace is not None:
-            self._trace.emit(0, "tz.tzasc", "reprogram", region=region.name, attr=attr.value)
+        if self._tracer is not None:
+            self._tracer.emit(
+                "tz.tzasc", "reprogram", region=region.name, attr=attr.value
+            )
 
     def check(self, region: MemoryRegion, world: World) -> None:
         """Raise :class:`SecureAccessViolation` on a forbidden access."""
@@ -145,21 +149,22 @@ class PhysicalMemory:
 
     All architectural loads/stores go through :meth:`read` / :meth:`write`,
     which resolve the target region, apply the TZASC check for the acting
-    world, charge memory cycles, and log a trace event.  Device regions may
-    attach MMIO handlers that intercept accesses (used by the I²S
-    controller's register file).
+    world and charge memory cycles; a TZASC fault is recorded as a
+    ``tz.fault`` event on the tracer.  Device regions may attach MMIO
+    handlers that intercept accesses (used by the I²S controller's
+    register file).
     """
 
     def __init__(
         self,
         clock: SimClock,
-        trace: TraceLog,
+        tracer: "SpanTracer",
         costs: CostModel,
     ):
         self.clock = clock
-        self.trace = trace
+        self.tracer = tracer
         self.costs = costs
-        self.tzasc = Tzasc(trace)
+        self.tzasc = Tzasc(tracer)
         self._regions: list[MemoryRegion] = []
         self._mmio_handlers: dict[str, "MmioHandler"] = {}
         self.access_count = 0
@@ -241,8 +246,7 @@ class PhysicalMemory:
             self.tzasc.check(region, world)
         except SecureAccessViolation:
             self.violation_count += 1
-            self.trace.emit(
-                self.clock.now,
+            self.tracer.emit(
                 "tz.fault",
                 "secure_access_violation",
                 region=region.name,

@@ -22,7 +22,6 @@ from repro.errors import SmcError
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 from repro.sim.clock import CycleDomain, SimClock
-from repro.sim.trace import TraceLog
 from repro.tz.costs import CostModel
 from repro.tz.worlds import Cpu, World
 
@@ -53,13 +52,11 @@ class SecureMonitor:
         self,
         cpu: Cpu,
         clock: SimClock,
-        trace: TraceLog,
         costs: CostModel,
         metrics: "MetricsRegistry | None" = None,
     ):
         self.cpu = cpu
         self.clock = clock
-        self.trace = trace
         self.costs = costs
         self.metrics = metrics
         self._handlers: dict[SmcFunction, SmcHandler] = {}
@@ -87,13 +84,11 @@ class SecureMonitor:
         if self.metrics is not None:
             self.metrics.inc("tz.smc")
             self.metrics.inc(f"tz.smc.{func.name.lower()}")
-        self.trace.emit(self.clock.now, "tz.smc", "enter", func=func.name)
         self._transition(World.SECURE)
         try:
             return handler(*args, **kwargs)
         finally:
             self._transition(World.NORMAL)
-            self.trace.emit(self.clock.now, "tz.smc", "exit", func=func.name)
 
     def secure_call_to_normal(self, thunk: Callable[[], Any]) -> Any:
         """Execute ``thunk`` in the normal world on behalf of secure code.
@@ -103,13 +98,11 @@ class SecureMonitor:
         symmetric with :meth:`smc`.
         """
         self.cpu.require_world(World.SECURE)
-        self.trace.emit(self.clock.now, "tz.rpc", "to_normal")
         self._transition(World.NORMAL)
         try:
             return thunk()
         finally:
             self._transition(World.SECURE)
-            self.trace.emit(self.clock.now, "tz.rpc", "resume_secure")
 
     def _transition(self, target: World) -> None:
         """Charge one direction of a world switch and flip the state."""

@@ -38,7 +38,7 @@ def rig(machine):
         MemoryRegion("i2s_mmio", 0x0400_0000, 0x1000,
                      SecurityAttr.NONSECURE, device=True)
     )
-    controller = I2sController(machine.clock, machine.trace)
+    controller = I2sController(machine.clock, machine.obs.tracer)
     machine.memory.attach_mmio("i2s_mmio", controller)
     mic = DigitalMicrophone(ToneSource(), fmt=controller.format)
     I2sBus(controller, mic)
@@ -305,7 +305,7 @@ class TestGoldenStream:
             MemoryRegion("i2s_mmio", 0x0400_0000, 0x1000,
                          SecurityAttr.NONSECURE, device=True)
         )
-        controller2 = I2sController(machine2.clock, machine2.trace)
+        controller2 = I2sController(machine2.clock, machine2.obs.tracer)
         machine2.memory.attach_mmio("i2s_mmio", controller2)
         I2sBus(controller2,
                DigitalMicrophone(ToneSource(), fmt=controller2.format))

@@ -289,7 +289,8 @@ class TestRecovery:
         assert counters["tee.panics"] == 1
         assert counters["tee.restarts"] == 1
         assert counters["tee.reaped"] == 1
-        names = {e.name for e in platform.machine.trace.events("optee.ta")}
+        events = platform.machine.obs.tracer.spans_in("optee.ta")
+        names = {e.name for e in events}
         assert "checkpoint_restored" in names
 
     def test_full_chaos_profile_tolerates_corrupt_checkpoint(
@@ -302,7 +303,8 @@ class TestRecovery:
         )
         assert pipeline.supervisor.restarts >= 1
         assert run.lost_count() == 0
-        names = [e.name for e in platform.machine.trace.events("optee.ta")]
+        events = platform.machine.obs.tracer.spans_in("optee.ta")
+        names = [e.name for e in events]
         assert "checkpoint_invalid" in names   # generation a: corrupted read
         assert "checkpoint_restored" in names  # ...generation b still good
 

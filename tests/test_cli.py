@@ -209,10 +209,18 @@ class TestCommands:
                      str(tmp_path / "nope.json")]) == 2
 
     def test_trace_events(self, capsys):
+        import json
+
+        # Events are zero-length spans in the same stream as stage spans.
         assert main(["trace", "--utterances", "2", "--seed", "5",
-                     "--events", "--category", "tz.smc", "--limit", "0"]) == 0
-        out = capsys.readouterr().out
-        assert '"category": "tz.smc"' in out
+                     "--category", "optee.os", "--limit", "0"]) == 0
+        docs = [json.loads(line)
+                for line in capsys.readouterr().out.splitlines()]
+        assert {"boot", "install_ta", "open_session"} <= {
+            d["name"] for d in docs
+        }
+        assert all(d["category"] == "optee.os" for d in docs)
+        assert all(d["start"] == d["end"] for d in docs)
 
 
 class TestTeardown:

@@ -244,7 +244,7 @@ class TestRestoreChaos:
         resume = pipeline.recover_client()
         assert resume["seq"] == 2  # the intact (newest) generation won
         invalid = [
-            e for e in platform.machine.trace.events("optee.ta")
+            e for e in platform.machine.obs.tracer.spans_in("optee.ta")
             if e.name == "checkpoint_invalid"
         ]
         assert len(invalid) == 1

@@ -136,7 +136,7 @@ def _audio_rig(machine):
         MemoryRegion("i2s_mmio", 0x0400_0000, 0x1000,
                      SecurityAttr.NONSECURE, device=True)
     )
-    controller = I2sController(machine.clock, machine.trace)
+    controller = I2sController(machine.clock, machine.obs.tracer)
     machine.memory.attach_mmio("i2s_mmio", controller)
     I2sBus(controller, DigitalMicrophone(ToneSource(), fmt=controller.format))
     return controller, region

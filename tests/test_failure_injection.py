@@ -30,7 +30,9 @@ class TestFifoOverrun:
             MemoryRegion("i2s_mmio", 0x0400_0000, 0x1000,
                          SecurityAttr.NONSECURE, device=True)
         )
-        controller = I2sController(machine.clock, machine.trace, fifo_depth=16)
+        controller = I2sController(
+            machine.clock, machine.obs.tracer, fifo_depth=16
+        )
         machine.memory.attach_mmio("i2s_mmio", controller)
         I2sBus(controller, DigitalMicrophone(ToneSource(), fmt=controller.format))
         driver = I2sDriver(KernelDriverHost(machine), controller, region)
@@ -86,7 +88,7 @@ class TestTaPanicMidStream:
                 pipeline.process_item(workload.items[0])
         finally:
             provisioned.bundle.asr.transcribe = original
-        panics = [e for e in platform.machine.trace.events("optee.os")
+        panics = [e for e in platform.machine.obs.tracer.spans_in("optee.os")
                   if e.name == "ta_panic"]
         assert len(panics) == 1
 

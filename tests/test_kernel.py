@@ -18,7 +18,7 @@ def kernel_rig(machine):
         MemoryRegion("i2s_mmio", 0x0400_0000, 0x1000,
                      SecurityAttr.NONSECURE, device=True)
     )
-    controller = I2sController(machine.clock, machine.trace)
+    controller = I2sController(machine.clock, machine.obs.tracer)
     machine.memory.attach_mmio("i2s_mmio", controller)
     mic = DigitalMicrophone(ToneSource(), fmt=controller.format)
     I2sBus(controller, mic)

@@ -41,7 +41,7 @@ class TestBufferSnoop:
 
     def test_attack_is_traced(self, machine):
         BufferSnoopAttack(machine).run([(machine.dram_ns.base, 4)])
-        assert machine.trace.count("attack.snoop") == 1
+        assert len(machine.obs.tracer.spans_in("attack.snoop")) == 1
 
 
 class TestMemoryScanner:

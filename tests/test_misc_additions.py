@@ -1,11 +1,12 @@
-"""Tests: per-category leak analysis, trace export, model-store properties."""
+"""Tests: per-category leak analysis, event export, model-store properties."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cloud.auditor import LeakAuditor
 from repro.ml.dataset import SensitiveCategory, Utterance
-from repro.sim.trace import TraceLog
+from repro.obs.span import SpanTracer
+from repro.sim.clock import SimClock
 
 
 class TestCategoryBreakdown:
@@ -42,31 +43,31 @@ class TestCategoryBreakdown:
 
 class TestTraceExport:
     def test_round_trip(self):
-        log = TraceLog()
-        log.emit(1, "tz.smc", "enter", func="CALL_WITH_ARG")
-        log.emit(2, "optee.os", "boot")
-        text = log.to_jsonl()
-        events = TraceLog.from_jsonl(text)
+        tracer = SpanTracer(SimClock())
+        tracer.emit("tz.gic", "configure", line=32)
+        tracer.emit("optee.os", "boot")
+        text = tracer.to_jsonl()
+        events = SpanTracer.from_jsonl(text)
         assert len(events) == 2
-        assert events[0].category == "tz.smc"
-        assert events[0].data == {"func": "CALL_WITH_ARG"}
+        assert events[0].category == "tz.gic"
+        assert events[0].attrs == {"line": 32}
 
     def test_filtered_export(self):
-        log = TraceLog()
-        log.emit(1, "tz.smc", "enter")
-        log.emit(2, "kernel.driver", "call")
-        text = log.to_jsonl("tz")
-        assert "tz.smc" in text and "kernel" not in text
+        tracer = SpanTracer(SimClock())
+        tracer.emit("tz.fault", "violation")
+        tracer.emit("attack.snoop", "run")
+        text = tracer.to_jsonl("tz")
+        assert "tz.fault" in text and "attack" not in text
 
     def test_empty_log(self):
-        assert TraceLog().to_jsonl() == ""
-        assert TraceLog.from_jsonl("") == []
+        assert SpanTracer(SimClock()).to_jsonl() == ""
+        assert SpanTracer.from_jsonl("") == []
 
     def test_non_json_data_coerced(self):
-        log = TraceLog()
-        log.emit(1, "c", "e", obj=object())
-        events = TraceLog.from_jsonl(log.to_jsonl())
-        assert isinstance(events[0].data["obj"], str)
+        tracer = SpanTracer(SimClock())
+        tracer.emit("c", "e", obj=object())
+        events = SpanTracer.from_jsonl(tracer.to_jsonl())
+        assert isinstance(events[0].attrs["obj"], str)
 
 
 class TestModelStoreProperties:

@@ -12,7 +12,7 @@ The fleet tier's aggregation math rests on three promises:
 
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.obs.metrics import BucketHistogram
 
@@ -81,9 +81,13 @@ class TestQuantileBracket:
 
     @settings(max_examples=40, deadline=None)
     @given(vals=streams, q=st.floats(min_value=0.0, max_value=1.0))
+    # 1..100: interpolated p50/p95/p99 are 50.5/95.05/99.01.
+    @example(vals=list(range(1, 101)), q=0.50)
+    @example(vals=list(range(1, 101)), q=0.95)
+    @example(vals=list(range(1, 101)), q=0.99)
     def test_exact_mode_matches_interpolation(self, vals, q):
-        # Under the cap the histogram interpolates over raw samples,
-        # byte-for-byte what CycleHistogram would report.
+        # Under the cap the histogram interpolates linearly over the
+        # sorted raw samples; the per-stage profile relies on this.
         h = build(vals, max_samples=10_000)
         assert h.exact
         ordered = sorted(vals)
@@ -114,3 +118,19 @@ class TestQuantileBracket:
         assert back.to_doc() == h.to_doc()
         for q in (0.0, 0.5, 0.95, 1.0):
             assert back.quantile(q) == h.quantile(q)
+
+
+class TestSmallStreams:
+    def test_empty_and_single_sample(self):
+        h = BucketHistogram("lat")
+        assert h.p50 == 0.0 and h.mean == 0.0
+        h.observe(42)
+        assert h.p50 == h.p95 == h.p99 == 42.0
+
+    def test_summary_schema(self):
+        h = build([10])
+        assert h.summary() == {
+            "count": 1, "total": 10.0, "mean": 10.0, "min": 10.0,
+            "max": 10.0, "p50": 10.0, "p95": 10.0, "p99": 10.0,
+            "exact": True,
+        }

@@ -5,7 +5,6 @@ import pytest
 from repro.obs.metrics import (
     BucketHistogram,
     Counter,
-    CycleHistogram,
     Gauge,
     MetricsRegistry,
 )
@@ -29,64 +28,6 @@ class TestGauge:
         g.set(3)
         g.set(1.5)
         assert g.value == 1.5
-
-
-class TestCycleHistogram:
-    def test_exact_percentiles(self):
-        h = CycleHistogram("lat")
-        for v in range(1, 101):  # 1..100
-            h.observe(v)
-        # Linear interpolation over sorted samples: p50 of 1..100 is 50.5.
-        assert h.p50 == pytest.approx(50.5)
-        assert h.p95 == pytest.approx(95.05)
-        assert h.p99 == pytest.approx(99.01)
-        assert h.mean == pytest.approx(50.5)
-        assert h.min == 1 and h.max == 100
-        assert h.total == 5050 and h.count == 100
-
-    def test_percentiles_are_ordered(self):
-        h = CycleHistogram("lat")
-        for v in (9, 1, 7, 3, 5):
-            h.observe(v)
-        assert 0 <= h.p50 <= h.p95 <= h.p99 <= h.max
-
-    def test_empty_and_single_sample(self):
-        h = CycleHistogram("lat")
-        assert h.p50 == 0.0 and h.mean == 0.0
-        h.observe(42)
-        assert h.p50 == h.p95 == h.p99 == 42.0
-
-    def test_max_samples_keeps_aggregates_exact(self):
-        h = CycleHistogram("lat", max_samples=4)
-        for v in (1, 2, 3, 4, 100):
-            h.observe(v)
-        # The fifth sample is not retained for percentiles...
-        assert len(h._samples) == 4
-        # ...but count/total/min/max still see it.
-        assert h.count == 5
-        assert h.total == 110
-        assert h.max == 100
-
-    def test_summary_schema(self):
-        h = CycleHistogram("lat")
-        h.observe(10)
-        assert set(h.summary()) == {
-            "count", "total", "mean", "min", "max", "p50", "p95", "p99",
-            "truncated", "retained",
-        }
-
-    def test_summary_reports_truncation(self):
-        h = CycleHistogram("lat", max_samples=3)
-        for v in (1, 2, 3):
-            h.observe(v)
-        assert h.truncated is False
-        assert h.summary()["truncated"] is False
-        assert h.summary()["retained"] == 3
-        h.observe(4)
-        # Percentiles now describe only the head-kept subset and say so.
-        assert h.truncated is True
-        assert h.summary()["truncated"] is True
-        assert h.summary()["retained"] == 3
 
 
 class TestRegistry:

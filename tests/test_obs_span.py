@@ -1,13 +1,13 @@
-"""Unit tests: span tracing (nesting, attribution, export, capacity)."""
+"""Unit tests: span tracing (nesting, attribution, events, export)."""
 
 import json
 
 import pytest
 
+from repro.obs.health import FlightRecorder, span_heartbeats
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import SpanTracer
 from repro.sim.clock import CycleDomain, SimClock
-from repro.sim.trace import TraceLog
 
 
 @pytest.fixture
@@ -107,16 +107,44 @@ class TestIntegrations:
         hist = metrics.histogram("stage.secure.asr.cycles")
         assert hist.count == 3 and hist.p50 == 100
 
-    def test_mirrors_into_trace_log(self, clock):
-        log = TraceLog()
-        tracer = SpanTracer(clock, trace=log)
+
+class TestEvents:
+    def test_event_is_zero_length_span_under_open_span(self, clock, tracer):
+        clock.advance(7, CycleDomain.SECURE_CPU)
+        with tracer.span("relay", "stage.secure") as relay:
+            clock.advance(3, CycleDomain.SECURE_CPU)
+            tracer.emit("optee.ta.filter", "relay_throttled", attempt=1)
+        tracer.emit("tz.fault", "secure_access_violation")
+        throttled, closed, fault = tracer.spans
+        assert (throttled.start_cycle, throttled.end_cycle) == (10, 10)
+        assert throttled.cycles == 0 and throttled.domain_cycles == {}
+        assert throttled.parent_id == relay.id
+        assert throttled.attrs == {"attempt": 1}
+        assert closed is relay
+        assert fault.parent_id is None
+
+    def test_event_skips_metrics_and_heartbeats_but_reaches_recorder(
+        self, clock
+    ):
+        metrics = MetricsRegistry()
+        tracer = SpanTracer(clock, metrics=metrics)
+        recorder = FlightRecorder(capacity=8)
+        tracer.attach_recorder(recorder)
         with tracer.span("asr", "stage.secure"):
             clock.advance(5, CycleDomain.SECURE_CPU)
-        event = log.last("obs.span")
-        assert event is not None
-        assert event.name == "asr"
-        assert event.data["span_category"] == "stage.secure"
-        assert event.data["cycles"] == 5
+        registry_before = metrics.to_doc()
+        heartbeats_before = span_heartbeats(tracer.spans)
+        clock.advance(100, CycleDomain.SECURE_CPU)
+        tracer.emit("optee.os", "boot")
+        tracer.emit("stage.secure", "marker")
+        assert metrics.to_doc() == registry_before
+        assert span_heartbeats(tracer.spans) == heartbeats_before
+        assert [s.name for s in recorder.spans()] == ["asr", "boot", "marker"]
+        # Disabled: the recorder still sees the event, retention does not.
+        tracer.enabled = False
+        tracer.emit("optee.os", "ta_panic", ta="filter")
+        assert [s.name for s in tracer.spans_in("optee.os")] == ["boot"]
+        assert recorder.spans()[-1].name == "ta_panic"
 
 
 class TestExport:

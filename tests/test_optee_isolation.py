@@ -101,9 +101,9 @@ class TestTaIsolation:
         with pytest.raises(TeeAccessDenied):
             call(machine, "invoke", session=mallory_sid, cmd=1,
                  params=Params())
-        events = machine.trace.events("optee.isolation")
+        events = machine.obs.tracer.spans_in("optee.isolation")
         assert len(events) == 1
-        assert events[0].data["ta"] == "ta.mallory"
+        assert events[0].attrs["ta"] == "ta.mallory"
 
     def test_freed_memory_not_readable(self, stack):
         """Even the owner loses access after free (use-after-free guard)."""

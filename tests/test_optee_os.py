@@ -156,8 +156,8 @@ class TestPanicSemantics:
         sid = open_session(tee, uuid)
         with pytest.raises(TeeTargetDead):
             invoke(tee, sid, 2)
-        assert tee.machine.trace.count("optee.os") > 0
-        panics = [e for e in tee.machine.trace.events("optee.os")
+        assert len(tee.machine.obs.tracer.spans_in("optee.os")) > 0
+        panics = [e for e in tee.machine.obs.tracer.spans_in("optee.os")
                   if e.name == "ta_panic"]
         assert len(panics) == 1
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import BusProtocolError, FifoUnderrunError
+from repro.obs.span import SpanTracer
 from repro.peripherals.audio import AudioFormat, SilenceSource, ToneSource
 from repro.peripherals.i2s import (
     CtrlBits,
@@ -16,11 +17,13 @@ from repro.peripherals.i2s import (
 )
 from repro.peripherals.microphone import DigitalMicrophone
 from repro.sim.clock import CycleDomain, SimClock
-from repro.sim.trace import TraceLog
 
 
 def make_controller(fifo_depth=64, fmt=None):
-    return I2sController(SimClock(), TraceLog(), fmt=fmt, fifo_depth=fifo_depth)
+    clock = SimClock()
+    return I2sController(
+        clock, SpanTracer(clock), fmt=fmt, fifo_depth=fifo_depth
+    )
 
 
 def wire(controller, source=None):
@@ -98,6 +101,30 @@ class TestCaptureAndFifo:
         status = reg_read(ctrl, I2sReg.STATUS)
         assert status & StatusBits.OVERRUN
         assert reg_read(ctrl, I2sReg.OVERRUN_COUNT) == 12
+
+    def test_overrun_event_only_when_frames_dropped(self):
+        # The OVERRUN bit is sticky, but the event reports this capture's
+        # drops: captures that accept every frame while the bit is still
+        # set must not emit it.
+        ctrl = make_controller(fifo_depth=8)
+        wire(ctrl)
+        enable(ctrl)
+        irqs = []
+        ctrl.set_irq_callback(lambda: irqs.append(ctrl.clock.now))
+        ctrl.capture(12)  # 8 accepted, 4 dropped
+        ctrl.drain_words(8)
+        ctrl.capture(4)  # all accepted, OVERRUN still set
+        ctrl.capture(4)  # all accepted, OVERRUN still set
+        assert reg_read(ctrl, I2sReg.STATUS) & StatusBits.OVERRUN
+        events = ctrl.tracer.spans_in("periph.i2s")
+        assert [(e.name, e.attrs) for e in events] == [
+            ("overrun", {"dropped": 4}),
+        ]
+        ctrl.capture(4)  # FIFO full again: 4 more dropped
+        events = ctrl.tracer.spans_in("periph.i2s")
+        assert [e.attrs["dropped"] for e in events] == [4, 4]
+        assert reg_read(ctrl, I2sReg.OVERRUN_COUNT) == 8
+        assert len(irqs) == 1  # edge-triggered on the first overrun only
 
     def test_overrun_clear_write_one(self):
         ctrl = make_controller(fifo_depth=4)

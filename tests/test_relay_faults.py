@@ -230,7 +230,7 @@ class TestRetryPath:
         workload = make_workload(provisioned, BENIGN[:1])
         platform.supplicant.net.set_fault_injector(ScriptedFaults(["refuse"]))
         pipeline.process_item(workload.items[0])
-        retries = [e for e in platform.machine.trace.events("optee.ta")
+        retries = [e for e in platform.machine.obs.tracer.spans_in("optee.ta")
                    if e.name == "relay_retry"]
         assert len(retries) == 1
 

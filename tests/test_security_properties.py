@@ -82,7 +82,7 @@ class TestBufferSnooping:
 
     def test_violations_logged_for_audit(self, secure_attacked):
         platform, _, _, _, _ = secure_attacked
-        assert platform.machine.trace.count("tz.fault") > 0
+        assert len(platform.machine.obs.tracer.spans_in("tz.fault")) > 0
 
 
 class TestMemoryScanning:

@@ -8,19 +8,11 @@ from repro.sim.clock import CycleDomain
 
 class TestSimConfig:
     def test_builders_honor_settings(self):
-        config = SimConfig(seed=9, freq_hz=1e9, trace_capacity=100)
+        config = SimConfig(seed=9, freq_hz=1e9)
         clock = config.build_clock()
         assert clock.freq_hz == 1e9
         rng = config.build_rng()
         assert rng.seed == 9
-        trace = config.build_trace()
-        assert trace.capacity == 100
-
-    def test_trace_can_start_disabled(self):
-        config = SimConfig(trace_enabled=False)
-        trace = config.build_trace()
-        trace.emit(0, "c", "e")
-        assert len(trace) == 0
 
     def test_default_seed_reproducible(self):
         a = SimConfig().build_rng().bytes(8)

@@ -83,7 +83,7 @@ class TestStreamEdges:
         assert run.over_segmented == 0
         assert len(run.results) == len(workload.items) - run.under_segmented
         mismatches = [
-            e for e in platform.machine.trace.events("core.pipeline")
+            e for e in platform.machine.obs.tracer.spans_in("core.pipeline")
             if e.name == "segmentation_mismatch"
         ]
         assert len(mismatches) == 1

@@ -72,7 +72,8 @@ class TestDelivery:
     def test_deliveries_traced(self, machine):
         machine.gic.configure(40, World.NORMAL, lambda: None)
         machine.gic.raise_line(40)
-        assert machine.trace.count("tz.gic") >= 2  # configure + deliver
+        events = machine.obs.tracer.spans_in("tz.gic")
+        assert len(events) >= 2  # configure + deliver
 
 
 class TestSideChannelClosure:

@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import InvalidAddressError, SecureAccessViolation
-from repro.sim.clock import SimClock
-from repro.sim.trace import TraceLog
+from repro.obs.span import SpanTracer
+from repro.sim.clock import CycleDomain, SimClock
 from repro.tz.costs import CostModel
 from repro.tz.memory import (
     MemoryAllocator,
@@ -18,7 +18,8 @@ from repro.tz.worlds import World
 
 
 def make_memory() -> PhysicalMemory:
-    return PhysicalMemory(SimClock(), TraceLog(), CostModel())
+    clock = SimClock()
+    return PhysicalMemory(clock, SpanTracer(clock), CostModel())
 
 
 class TestRegions:
@@ -95,7 +96,7 @@ class TestTzascEnforcement:
         with pytest.raises(SecureAccessViolation):
             mem.read(0x2000, 4, World.NORMAL)
         assert mem.violation_count == 1
-        assert mem.trace.count("tz.fault") == 1
+        assert len(mem.tracer.spans_in("tz.fault")) == 1
 
     def test_violation_leaves_data_intact(self):
         mem = self._mem()
@@ -125,6 +126,19 @@ class TestTzascReprogramming:
         # Still secure afterwards.
         with pytest.raises(SecureAccessViolation):
             mem.read(0x1000, 4, World.NORMAL)
+
+    def test_reprogram_event_stamped_at_claim_cycle(self):
+        mem = make_memory()
+        region = mem.add_region(
+            MemoryRegion("p", 0x1000, 0x100, SecurityAttr.NONSECURE)
+        )
+        mem.clock.advance(61_700, CycleDomain.SECURE_CPU)
+        claimed_at = mem.clock.now
+        mem.tzasc.reprogram(region, SecurityAttr.SECURE, World.SECURE)
+        mem.clock.advance(500, CycleDomain.SECURE_CPU)
+        (event,) = mem.tracer.spans_in("tz.tzasc")
+        assert event.start_cycle == event.end_cycle == claimed_at
+        assert event.attrs == {"region": "p", "attr": "secure"}
 
     def test_attr_of_tracks_reprogramming(self):
         tzasc = Tzasc()
