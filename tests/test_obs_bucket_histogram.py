@@ -127,6 +127,19 @@ class TestSmallStreams:
         h.observe(42)
         assert h.p50 == h.p95 == h.p99 == 42.0
 
+    def test_exact_percentiles(self):
+        import pytest
+
+        h = build(range(1, 101), max_samples=10_000)  # 1..100
+        assert h.exact
+        # Linear interpolation over sorted samples: p50 of 1..100 is 50.5.
+        assert h.p50 == pytest.approx(50.5)
+        assert h.p95 == pytest.approx(95.05)
+        assert h.p99 == pytest.approx(99.01)
+        assert h.mean == pytest.approx(50.5)
+        assert h.min == 1 and h.max == 100
+        assert h.total == 5050 and h.count == 100
+
     def test_summary_schema(self):
         h = build([10])
         assert h.summary() == {
