@@ -12,38 +12,38 @@ bytes in the clear.
 Ingestion tier (production shape)
 ---------------------------------
 
-Passing an :class:`IngestionConfig` turns the handler into a sharded,
-multi-tenant ingestion service: every Recognize gets an *admission
-verdict* instead of unconditional acceptance.  Tenants (devices) hash to
-shards; each tenant owns a token bucket (rate limit) and a bounded
-pending queue.  An event that finds tokens and queue space is admitted —
-its dedup key registers *at admission*, so a retry of an
-admitted-but-uncommitted event is suppressed exactly like a committed one
-— and the reply is byte-identical to the legacy accepted reply.  An
-event that finds neither is answered ``{"directive": "Throttled",
-"retryAfterCycles": N}`` with a deterministic hint derived from the
-bucket's refill rate and the tenant's backlog; nothing registers, so the
-device's later re-send (same dialog id, higher attempt) is admitted
-normally.  Admitted events *commit* (append to :attr:`received`) as the
-service's modelled drain loop catches up — driven by the simulation
-clock at ``service_cycles_per_record`` — or all at once via
-:meth:`flush` at end of run.
+Every Recognize passes a sharded, multi-tenant admission tier sized by
+an :class:`IngestionConfig` and gets an *admission verdict*.  Tenants
+(devices) hash to shards; each tenant owns a token bucket (rate limit)
+and a bounded pending queue.  An event that finds tokens and queue space
+is admitted — its dedup key registers *at admission*, so a retry of an
+admitted-but-uncommitted event is suppressed exactly like a committed
+one.  An event that finds neither is answered ``{"directive":
+"Throttled", "retryAfterCycles": N}`` with a deterministic hint derived
+from the bucket's refill rate and the tenant's backlog; nothing
+registers, so the device's later re-send (same dialog id, higher
+attempt) is admitted normally.  Admitted events *commit* (append to
+:attr:`received`) as the service's modelled drain loop catches up —
+driven by the simulation clock at ``service_cycles_per_record`` — or all
+at once via :meth:`flush` at end of run.
 
-With ``ingestion=None`` (the default) the legacy single-queue behaviour
-is preserved exactly, byte for byte — the ingestion tier must be
-opt-in so the pre-existing wire and decision baselines stay pinned.
+The default profile, :meth:`IngestionConfig.unthrottled`, never
+throttles and commits every accepted event at admission.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.errors import RecordError
+from repro.obs.metrics import MetricsRegistry
 from repro.relay.avs import AvsEvent
 from repro.relay.tls import TlsServer
+from repro.sim.clock import SimClock
 from repro.sim.rng import SimRng
 
 
@@ -73,8 +73,10 @@ class IngestionConfig:
     bucket of ``bucket_capacity`` tokens refilling one token per
     ``refill_cycles_per_token`` cycles, plus a pending queue bounded at
     ``tenant_queue_depth``.  The drain loop commits one pending record
-    per ``service_cycles_per_record`` cycles per shard.  Admission
-    latency is modelled (not charged to the caller) as
+    per ``service_cycles_per_record`` cycles per shard.  A cost of 0
+    means "no cost": ``refill_cycles_per_token=0`` keeps every bucket
+    full and ``service_cycles_per_record=0`` commits at admission.
+    Admission latency is modelled (not charged to the caller) as
     ``admission_base_cycles + admission_cycles_per_pending × backlog``.
     """
 
@@ -123,19 +125,13 @@ class IngestionConfig:
 
     @classmethod
     def unthrottled(cls) -> "IngestionConfig":
-        """An ingestion tier so large it never says Throttled.
+        """The default profile: free tokens and an instant drain loop.
 
-        Used by the equivalence proofs: the admission machinery runs on
-        every event, yet every verdict is "accepted" — so wire bytes and
-        decisions must match a legacy (``ingestion=None``) run exactly.
+        Every bucket is always full and every accepted event commits at
+        admission, so no verdict is ever Throttled and :attr:`received`
+        is current after every event.
         """
-        return cls(
-            shards=4,
-            tenant_queue_depth=1_000_000,
-            bucket_capacity=1_000_000,
-            refill_cycles_per_token=1,
-            service_cycles_per_record=1,
-        )
+        return cls(refill_cycles_per_token=0, service_cycles_per_record=0)
 
 
 def tenant_shard(device_id: str, shards: int) -> int:
@@ -212,15 +208,18 @@ class VoiceCloudService:
     TLS_PORT = 443
     PLAINTEXT_PORT = 80
 
-    def __init__(self, rng: SimRng, clock=None, metrics=None, ingestion=None):
-        """``clock``/``metrics``/``ingestion`` enable the admission tier.
+    def __init__(
+        self,
+        rng: SimRng,
+        clock: SimClock,
+        metrics: MetricsRegistry | None = None,
+        ingestion: IngestionConfig = IngestionConfig.unthrottled(),
+    ):
+        """``clock`` drives the admission tier sized by ``ingestion``.
 
-        ``ingestion`` (an :class:`IngestionConfig`) requires ``clock`` (a
-        :class:`~repro.sim.clock.SimClock`, read-only — the service never
-        advances it); ``metrics`` (a
-        :class:`~repro.obs.metrics.MetricsRegistry`) is optional and
-        feeds the ``cloud.ingest.*`` namespace.  All three default off,
-        which preserves the legacy handler byte for byte.
+        The service reads ``clock`` and never advances it.  ``metrics``
+        receives the ``cloud.ingest.*`` namespace; without one the
+        service keeps a private registry.
         """
         self.tls = TlsServer(rng.fork("tls-server"))
         self.tls.set_handler(lambda pt: self._handle_event(pt, encrypted=True))
@@ -236,16 +235,10 @@ class VoiceCloudService:
         # Device-health alerts (SLO violations, flight-recorder dumps)
         # delivered through the same relay path as transcripts.
         self.alerts: list[dict] = []
-        self.ingestion: IngestionConfig | None = ingestion
+        self.ingestion = ingestion
         self._clock = clock
-        self._metrics = metrics
-        if ingestion is not None and clock is None:
-            raise ValueError("ingestion tier requires a clock")
-        self._shards = (
-            [_IngestShard(ingestion) for _ in range(ingestion.shards)]
-            if ingestion is not None
-            else []
-        )
+        self._metrics = metrics if metrics is not None else MetricsRegistry()
+        self._shards = [_IngestShard(ingestion) for _ in range(ingestion.shards)]
         self.accepted = 0
         self.throttled = 0
         self.committed = 0
@@ -263,64 +256,59 @@ class VoiceCloudService:
 
     # -- ingestion tier ---------------------------------------------------------
 
-    def _inc(self, name: str, value: int = 1) -> None:
-        if self._metrics is not None:
-            self._metrics.inc(name, value)
-
     def pending_depth(self) -> int:
         """Admitted-but-uncommitted records across every shard."""
         return sum(shard.depth() for shard in self._shards)
 
-    def _drain_shards(self, now: int) -> None:
-        """Commit pending records the modelled drain loop has caught up to.
+    def _commit(self, now: int | None = None) -> int:
+        """The modelled drain loop: commit what it has caught up to.
 
-        Each shard commits one record per ``service_cycles_per_record``
-        elapsed cycles, round-robin across its tenants.  Driven lazily
-        from event arrivals — the service owns no thread; the simulation
-        clock is read, never advanced.
+        Each shard commits one pending record per
+        ``service_cycles_per_record`` cycles elapsed up to ``now``,
+        round-robin across its tenants; a cost of 0 keeps up instantly,
+        and ``now=None`` commits everything.  Driven lazily from event
+        arrivals — the service owns no thread; the simulation clock is
+        read, never advanced.  Refreshes the ``cloud.ingest.queue_depth``
+        gauge and returns the number committed.
         """
-        assert self.ingestion is not None
-        per_record = max(1, self.ingestion.service_cycles_per_record)
+        per_record = self.ingestion.service_cycles_per_record
+        committed = 0
         for shard in self._shards:
-            if shard.last_drain_cycle is None:
-                shard.last_drain_cycle = now
-                continue
-            budget = (now - shard.last_drain_cycle) // per_record
-            shard.last_drain_cycle += budget * per_record
+            budget = math.inf
+            if now is not None and per_record:
+                if shard.last_drain_cycle is None:
+                    shard.last_drain_cycle = now
+                    continue
+                budget = (now - shard.last_drain_cycle) // per_record
+                shard.last_drain_cycle += budget * per_record
             while budget > 0:
                 record = shard.pop_next()
                 if record is None:
                     break
                 self.received.append(record)
-                self.committed += 1
-                self._inc("cloud.ingest.committed")
+                self._metrics.inc("cloud.ingest.committed")
+                committed += 1
                 budget -= 1
+        self.committed += committed
+        self._metrics.set("cloud.ingest.queue_depth", self.pending_depth())
+        return committed
 
     def flush(self) -> int:
-        """Commit every pending record immediately (end-of-run settle).
+        """Commit every pending record now (end-of-run settle).
 
-        Returns the number committed.  A no-op without an ingestion tier.
+        Returns the number committed.
         """
-        flushed = 0
-        for shard in self._shards:
-            while True:
-                record = shard.pop_next()
-                if record is None:
-                    break
-                self.received.append(record)
-                self.committed += 1
-                self._inc("cloud.ingest.committed")
-                flushed += 1
-        return flushed
+        return self._commit()
 
-    def _admit(
-        self, record: CloudRecord, key: tuple[bool, str, int]
-    ) -> bytes:
-        """Admission verdict for one new (non-duplicate) Recognize."""
-        assert self.ingestion is not None and self._clock is not None
+    def _admit(self, record: CloudRecord, key: tuple[bool, str, int]) -> int:
+        """Admit or throttle one new (non-duplicate) Recognize.
+
+        Returns 0 when admitted, else the Throttled verdict's
+        ``retryAfterCycles`` (at least 1).
+        """
         config = self.ingestion
         now = int(self._clock.now)
-        self._drain_shards(now)
+        self._commit(now)
         shard = self._shards[tenant_shard(record.device_id, config.shards)]
         state = shard.tenant(record.device_id, now)
         shard.refill(state, now)
@@ -333,11 +321,8 @@ class VoiceCloudService:
             wait = int(deficit * config.refill_cycles_per_token)
             wait += backlog * config.service_cycles_per_record
             self.throttled += 1
-            self._inc("cloud.ingest.throttled")
-            self._set_depth_gauge()
-            return json.dumps(
-                {"directive": "Throttled", "retryAfterCycles": max(1, wait)}
-            ).encode()
+            self._metrics.inc("cloud.ingest.throttled")
+            return max(1, wait)
         state.tokens -= 1.0
         # Register at admission, not at commit: a reconnecting device
         # retrying an admitted-but-uncommitted event must be suppressed,
@@ -345,26 +330,16 @@ class VoiceCloudService:
         self._seen_dialogs.add(key)
         state.pending.append(record)
         self.accepted += 1
-        self._inc("cloud.ingest.accepted")
-        if self._metrics is not None:
-            self._metrics.observe(
-                "cloud.ingest.admission_cycles",
-                config.admission_base_cycles
-                + config.admission_cycles_per_pending * shard.depth(),
-            )
-        self._set_depth_gauge()
-        # Byte-identical to the legacy accepted reply: the device-side
-        # wire-byte baselines must not move when admission always passes.
-        return json.dumps(
-            {
-                "directive": "Response",
-                "speech": f"ok: {len(record.transcript)} chars",
-            }
-        ).encode()
-
-    def _set_depth_gauge(self) -> None:
-        if self._metrics is not None:
-            self._metrics.set("cloud.ingest.queue_depth", self.pending_depth())
+        self._metrics.inc("cloud.ingest.accepted")
+        self._metrics.observe(
+            "cloud.ingest.admission_cycles",
+            config.admission_base_cycles
+            + config.admission_cycles_per_pending * shard.depth(),
+        )
+        # With no per-record cost the drain loop commits this record
+        # now; for any cost above 0 this second pass is a no-op.
+        self._commit(now)
+        return 0
 
     # -- application layer ------------------------------------------------------------
 
@@ -384,7 +359,7 @@ class VoiceCloudService:
             if attempt > 1 and key in self._seen_dialogs:
                 # Idempotent replay: the sender never saw our first reply.
                 self.duplicates_suppressed += 1
-                self._inc("cloud.ingest.deduped")
+                self._metrics.inc("cloud.ingest.deduped")
             else:
                 record = CloudRecord(
                     transcript=transcript,
@@ -394,10 +369,11 @@ class VoiceCloudService:
                     device_id=device_id,
                     trace_id=trace_id,
                 )
-                if self.ingestion is not None:
-                    return self._admit(record, key)
-                self._seen_dialogs.add(key)
-                self.received.append(record)
+                retry_after = self._admit(record, key)
+                if retry_after:
+                    return json.dumps(
+                        {"directive": "Throttled", "retryAfterCycles": retry_after}
+                    ).encode()
             return json.dumps(
                 {"directive": "Response", "speech": f"ok: {len(transcript)} chars"}
             ).encode()

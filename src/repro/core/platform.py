@@ -62,7 +62,7 @@ class IotPlatform:
         ta_verification_key: bytes | None = None,
         network_faults: FaultConfig | None = None,
         secure_faults: SecureFaultConfig | None = None,
-        ingestion: "IngestionConfig | None" = None,
+        ingestion: IngestionConfig = IngestionConfig.unthrottled(),
     ) -> "IotPlatform":
         """Build the device.
 
@@ -79,11 +79,11 @@ class IotPlatform:
         the supervision layer is tested against.
 
         ``ingestion`` (an :class:`~repro.cloud.service.IngestionConfig`)
-        puts the cloud service behind its sharded multi-tenant admission
-        tier — token buckets, bounded tenant queues, Throttled verdicts —
-        driven read-only by this machine's clock and reporting into its
-        metrics registry.  Omitted (the default), the cloud accepts
-        everything exactly as before, byte for byte.
+        sizes the cloud service's sharded multi-tenant admission tier —
+        token buckets, bounded tenant queues, Throttled verdicts — driven
+        read-only by this machine's clock and reporting into its metrics
+        registry.  The default never throttles and commits every
+        accepted event at admission.
         """
         config = machine_config or MachineConfig()
         if seed != 42 and machine_config is None:
@@ -128,10 +128,7 @@ class IotPlatform:
         camera = Camera(SyntheticScene(rng.fork("scene")))
 
         cloud = VoiceCloudService(
-            rng.fork("cloud"),
-            clock=machine.clock if ingestion is not None else None,
-            metrics=machine.obs.metrics if ingestion is not None else None,
-            ingestion=ingestion,
+            rng.fork("cloud"), machine.clock, machine.obs.metrics, ingestion
         )
         supplicant.net.register_endpoint(
             VoiceCloudService.HOST, VoiceCloudService.TLS_PORT, cloud

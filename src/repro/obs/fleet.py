@@ -66,11 +66,12 @@ SECURE_FAULT_PROFILES: dict[str, SecureFaultConfig | None] = {
     "chaos": SecureFaultConfig.chaos(),
 }
 
-# Cloud admission-tier profiles.  "overload" starves the token buckets and
-# shrinks the tenant queues so the cloud actively throttles — the knob the
-# backpressure round trip (throttle → sealed queue → drain) is proved under.
-INGEST_PROFILES: dict[str, IngestionConfig | None] = {
-    "none": None,
+# Cloud admission-tier profiles.  "none" never throttles and commits at
+# admission.  "overload" starves the token buckets and shrinks the tenant
+# queues so the cloud actively throttles — the knob the backpressure round
+# trip (throttle → sealed queue → drain) is proved under.
+INGEST_PROFILES: dict[str, IngestionConfig] = {
+    "none": IngestionConfig.unthrottled(),
     "overload": IngestionConfig.overload(),
 }
 
@@ -135,8 +136,8 @@ class DeviceSpec:
         """The named secure-world profile (``None`` = faults off)."""
         return SECURE_FAULT_PROFILES[self.secure_fault_profile]
 
-    def ingest_config(self) -> IngestionConfig | None:
-        """The named cloud admission profile (``None`` = accept-all)."""
+    def ingest_config(self) -> IngestionConfig:
+        """The named cloud admission profile."""
         return INGEST_PROFILES[self.ingest_profile]
 
     def client_crash_config(self) -> ClientCrashConfig | None:
@@ -409,7 +410,7 @@ def simulate_device_runtime(
             run = pipeline.process(workload)
         # Commit whatever the admission tier still holds in its tenant
         # queues so the device report reflects the cloud's final state
-        # (a no-op for the legacy accept-all cloud).
+        # (only a throttling profile leaves records pending).
         platform.cloud.flush()
         client_restarts = pipeline.client_restarts
     finally:

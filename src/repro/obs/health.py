@@ -173,8 +173,8 @@ def default_slo_rules(
     with NO DATA.  The two ingestion rules are gated the same way:
     ``shed_rate`` only applies once a bounded queue actually shed
     (fail-closed loss is budgeted, never unbounded), and
-    ``admission_latency`` only applies on runs where the cloud admission
-    tier accepted traffic at all.
+    ``admission_latency`` only applies once the cloud accepted a record,
+    so a run that forwarded nothing passes it vacuously.
     """
     return [
         SloRule(
@@ -238,8 +238,8 @@ def default_slo_rules(
             budget_per_hour=60.0,
         ),
         # Histogram-backed admission decision latency at the cloud's
-        # multi-tenant ingestion tier; gated so accept-all (legacy) runs
-        # pass vacuously rather than failing NO DATA.
+        # multi-tenant ingestion tier; gated so runs that forwarded
+        # nothing pass vacuously rather than failing NO DATA.
         SloRule(
             name="admission_latency",
             metric="cloud.ingest.admission_cycles",

@@ -8,12 +8,13 @@ from repro.cloud.service import VoiceCloudService
 from repro.ml.dataset import SensitiveCategory, Utterance
 from repro.relay.avs import AvsClient, AvsEvent
 from repro.relay.tls import TlsClient
+from repro.sim.clock import SimClock
 from repro.sim.rng import SimRng
 
 
 @pytest.fixture
 def cloud():
-    return VoiceCloudService(SimRng(4))
+    return VoiceCloudService(SimRng(4), SimClock())
 
 
 class TestCloudService:

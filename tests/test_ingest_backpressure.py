@@ -9,15 +9,18 @@ Three layers, mirroring the architecture:
   backpressure window (deferred deliveries with zero wire traffic),
   throttled payloads spill sealed, and the queue drains exactly-once
   after the window closes;
-* the equivalence proof — with admission sized to never throttle, wire
-  bytes, decisions and the clock are byte-identical to a legacy
-  (``ingestion=None``) run, so pre-existing baselines stay pinned.
+* the equivalence proof — the default (unthrottled) profile commits at
+  admission, and its wire bytes, decisions, clock and cloud records are
+  pinned to digests recorded from the accept-all sink it replaced, so
+  pre-existing baselines stay pinned.
 
 Plus the satellite regressions: the typed
 :class:`~repro.errors.RelayExhaustedError` contract and the bounded
 store-and-forward queue's fail-closed shedding and drain edge cases.
 """
 
+import dataclasses
+import hashlib
 import json
 
 import pytest
@@ -30,6 +33,7 @@ from repro.cloud.service import (
 from repro.core.pipeline import SecurePipeline
 from repro.core.platform import IotPlatform
 from repro.core.ta_filter import CMD_HEARTBEAT, CMD_STATS
+from repro.core.workload import UtteranceWorkload
 from repro.errors import (
     CryptoError,
     RelayDeliveryError,
@@ -38,6 +42,8 @@ from repro.errors import (
     RelayQueueFullError,
     RelayThrottledError,
 )
+from repro.ml.dataset import UtteranceGenerator
+from repro.obs.fleet import run_fleet
 from repro.obs.metrics import MetricsRegistry
 from repro.relay.avs import AvsEvent
 from repro.relay.queue import StoreForwardQueue
@@ -85,12 +91,6 @@ class TestIngestionConfig:
         assert config.bucket_capacity == 1
         assert config.refill_cycles_per_token >= 1_000_000_000
 
-    def test_requires_a_clock(self):
-        with pytest.raises(ValueError, match="clock"):
-            VoiceCloudService(
-                SimRng(1, "cloud"), ingestion=IngestionConfig()
-            )
-
     def test_tenant_shard_deterministic_and_in_range(self):
         for shards in (1, 2, 4, 7):
             for device in ("", "dev-a", "dev-b", "device-0042"):
@@ -124,13 +124,14 @@ class TestAdmissionVerdicts:
         assert counters["cloud.ingest.throttled"] == 1
 
     def test_accepted_reply_byte_identical_to_legacy(self):
+        """A queued accept answers with the default profile's bytes,
+        which are the accept-all sink's reply."""
         service, _, _ = make_service(self.SLOW_DRAIN)
-        legacy = VoiceCloudService(SimRng(5, "cloud"))
+        default = VoiceCloudService(SimRng(5, "cloud"), SimClock())
         event = AvsEvent.recognize("hello there", 1, device_id="dev-a")
-        assert (
-            service.plaintext_endpoint.receive(event.to_bytes())
-            == legacy.plaintext_endpoint.receive(event.to_bytes())
-        )
+        reply = service.plaintext_endpoint.receive(event.to_bytes())
+        assert reply == default.plaintext_endpoint.receive(event.to_bytes())
+        assert reply == b'{"directive": "Response", "speech": "ok: 11 chars"}'
 
     def test_retry_hint_covers_token_deficit(self):
         service, _, _ = make_service(self.SLOW_DRAIN)
@@ -230,7 +231,7 @@ class TestAdmissionVerdicts:
         assert service.received_transcripts == ["a", "b"]
         assert service.committed == 2
         assert metrics.counters()["cloud.ingest.committed"] == 2
-        assert metrics.gauges()["cloud.ingest.queue_depth"] == 1.0
+        assert metrics.gauges()["cloud.ingest.queue_depth"] == 0.0
 
     def test_commit_round_robins_across_tenants(self):
         """No tenant starves behind a noisy neighbour's backlog."""
@@ -356,8 +357,12 @@ class TestDeviceBackpressure:
         admission tier: the first attempt was admitted (key registered,
         record still pending) and only the reply was corrupted, so the
         retry must dedup against the *pending* record."""
+        # Free tokens, but a drain loop too slow to commit during the run.
         platform = IotPlatform.create(
-            seed=435, ingestion=IngestionConfig.unthrottled()
+            seed=435,
+            ingestion=IngestionConfig(
+                refill_cycles_per_token=0, service_cycles_per_record=10**12
+            ),
         )
         pipeline = SecurePipeline(platform, provisioned.bundle)
         workload = make_workload(provisioned, BENIGN)
@@ -367,8 +372,22 @@ class TestDeviceBackpressure:
         assert result.relay_status == "sent"
         assert result.relay_attempts == 2
         assert platform.cloud.duplicates_suppressed == 1
+        assert result.payload not in platform.cloud.received_transcripts
         platform.cloud.flush()
         assert platform.cloud.received_transcripts.count(result.payload) == 1
+
+    def test_fleet_depth_gauge_zero_after_flush(self):
+        """The end-of-run flush commits what the tier still held, so the
+        exported depth gauge must read the empty queues, not the backlog
+        before the flush."""
+        report = run_fleet(devices=4, seed=9, utterances=4, overload=True)
+        merged = report.merged_registry()
+        counters = merged.counters("cloud.ingest.")
+        assert counters["cloud.ingest.throttled"] >= 1
+        assert counters["cloud.ingest.committed"] == (
+            counters["cloud.ingest.accepted"]
+        ) >= 1
+        assert merged.gauges()["cloud.ingest.queue_depth"] == 0.0
 
     def test_heartbeat_reports_throttled_window(self, provisioned):
         platform, pipeline = self._overloaded(provisioned, seed=436)
@@ -382,37 +401,100 @@ class TestDeviceBackpressure:
         assert not pipeline.session.closed
 
 
-class TestBackpressureDisabledByteIdentity:
-    """Acceptance: admission always-accept == legacy, byte for byte."""
+def _sha(doc) -> str:
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
-    def _run_once(self, provisioned, ingestion):
-        platform = IotPlatform.create(seed=437, ingestion=ingestion)
-        pipeline = SecurePipeline(platform, provisioned.bundle)
-        run = pipeline.process(make_workload(provisioned, MIXED))
-        platform.cloud.flush()
-        return {
-            "decisions": [
-                (
-                    r.transcript,
-                    r.sensitive_predicted,
-                    r.forwarded,
-                    r.payload,
-                    r.relay_status,
-                    r.relay_attempts,
-                    r.latency_cycles,
-                )
+
+class TestDefaultIngestByteIdentity:
+    """Acceptance: the default profile reproduces the accept-all sink.
+
+    Before the sink was deleted, each seed's run (default platform, an
+    8-utterance 50/50 corpus, the ``provisioned`` CNN bundle) was
+    recorded as sha256 digests of the wire log, the decision tuples, the
+    final clock and switch count, and the cloud's records read before and
+    after ``flush()``.  The admission tier must reproduce every one of
+    them.
+    """
+
+    SINK_DIGESTS = {
+        437: {
+            "wire": "0301f1e1009c3a69d461611602a2da03736ac776ee42c03ceb2a471c8a718431",
+            "decisions": "6f755497dacdab5110a5e8a355229c7f83aa8281fbbc67c8eba27308026be9ee",
+            "clock": "d04d36d1b227aa9601587b7732809b7d4c80f221c0514f3206e230debd0687c0",
+            "received_before_flush": "561eb0e596ae61c9455394eaac62d5b805b332725f554d0e1b12f1ec511a5ecb",
+            "received_after_flush": "561eb0e596ae61c9455394eaac62d5b805b332725f554d0e1b12f1ec511a5ecb",
+        },
+        438: {
+            "wire": "c7a31636911d7ef43fcae3a37b3c35f561a83f9faab457e5678db333ed4cd80d",
+            "decisions": "9179218823e5f902a5b79f0cb57e09181456b15d8f4f0f1a487b56fe5da263bb",
+            "clock": "6d577805fe64df545c946144328dc87d58cfef285a5baec2aa1c8cac913a63ea",
+            "received_before_flush": "9d51e52d5b92a05eb26fd3d40e7e74fbd089fc412750e799b5ae3d406f5ec88e",
+            "received_after_flush": "9d51e52d5b92a05eb26fd3d40e7e74fbd089fc412750e799b5ae3d406f5ec88e",
+        },
+        439: {
+            "wire": "29522ac759e09c91d330f1f14edeeb130c32b26cd3794ea10bd5b8f635a2a6a4",
+            "decisions": "799694f8db271419631b5e60c283f06fb006b017af5ec884d4bf27b0b181a140",
+            "clock": "e880d55b5b308f0fa1a65253a9afbe02c61676c96021a8b9abc65be15860b31a",
+            "received_before_flush": "c8f4919c770a6079ff8a5a2be647c0c067ce4731ef4442031347ab274a412f2b",
+            "received_after_flush": "c8f4919c770a6079ff8a5a2be647c0c067ce4731ef4442031347ab274a412f2b",
+        },
+    }
+
+    @pytest.mark.parametrize("seed", sorted(SINK_DIGESTS))
+    def test_matches_sink_digests(self, provisioned, seed):
+        bundle = provisioned.bundle
+        platform = IotPlatform.create(seed=seed)
+        pipeline = SecurePipeline(platform, bundle)
+        corpus = UtteranceGenerator(SimRng(seed, "golden")).generate(
+            8, sensitive_fraction=0.5
+        )
+        run = pipeline.process(
+            UtteranceWorkload.from_corpus(corpus, bundle.vocoder)
+        )
+        cloud = platform.cloud
+        before = [dataclasses.asdict(r) for r in cloud.received]
+        cloud.flush()
+        after = [dataclasses.asdict(r) for r in cloud.received]
+        pipeline.close()
+        wire = platform.supplicant.net.wire_log
+        assert wire and before  # the pin covers real traffic
+        assert {
+            "wire": _sha([frame.hex() for frame in wire]),
+            "decisions": _sha([
+                [r.transcript, r.sensitive_predicted, r.forwarded, r.payload,
+                 r.relay_status, r.relay_attempts, r.latency_cycles]
                 for r in run.results
-            ],
-            "wire": list(platform.supplicant.net.wire_log),
-            "final_cycle": platform.machine.clock.now,
-            "cloud": platform.cloud.received_transcripts,
-        }
+            ]),
+            "clock": _sha([
+                platform.machine.clock.now, platform.machine.cpu.switch_count
+            ]),
+            "received_before_flush": _sha(before),
+            "received_after_flush": _sha(after),
+        } == self.SINK_DIGESTS[seed]
 
-    def test_unthrottled_ingestion_matches_legacy_exactly(self, provisioned):
-        legacy = self._run_once(provisioned, None)
-        admitted = self._run_once(provisioned, IngestionConfig.unthrottled())
-        assert legacy == admitted
-        assert legacy["wire"]  # the comparison actually saw traffic
+    def test_commits_at_admission(self, provisioned):
+        platform = IotPlatform.create(seed=438)
+        pipeline = SecurePipeline(platform, provisioned.bundle)
+        cloud = platform.cloud
+        for item in make_workload(provisioned, MIXED).items:
+            result = pipeline.process_item(item)
+            assert cloud.pending_depth() == 0
+            assert len(cloud.received) == cloud.accepted
+            if result.forwarded:
+                assert cloud.received[-1].transcript == result.payload
+        pipeline.close()
+        assert cloud.accepted >= 1 and cloud.throttled == 0
+        assert cloud.flush() == 0
+        metrics = platform.machine.obs.metrics
+        assert metrics.counters("cloud.ingest.") == {
+            "cloud.ingest.accepted": cloud.accepted,
+            "cloud.ingest.committed": cloud.accepted,
+        }
+        assert metrics.gauges("cloud.ingest.") == {
+            "cloud.ingest.queue_depth": 0.0
+        }
+        hist = metrics.histograms("cloud.ingest.")
+        assert hist["cloud.ingest.admission_cycles"].count == cloud.accepted
 
 
 class TestRelayExhausted:

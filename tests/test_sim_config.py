@@ -43,7 +43,7 @@ class TestRelayModule:
         tee = OpTeeOs(machine)
         supplicant = TeeSupplicant(machine)
         tee.attach_supplicant(supplicant)
-        cloud = VoiceCloudService(SimRng(1, "cloud"))
+        cloud = VoiceCloudService(SimRng(1, "cloud"), machine.clock)
         supplicant.net.register_endpoint(cloud.HOST, cloud.TLS_PORT, cloud)
 
         ta = TrustedApplication()
