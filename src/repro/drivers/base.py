@@ -130,16 +130,18 @@ class Driver:
         args: tuple,
         kwargs: dict,
     ) -> Any:
-        if info.name in self.compiled_out:
+        name = info.name
+        if name in self.compiled_out:
             raise DriverError(
-                f"{self.NAME}: function {info.name!r} was compiled out of "
+                f"{self.NAME}: function {name!r} was compiled out of "
                 f"this build"
             )
-        caller = self._call_stack[-1] if self._call_stack else None
-        self.host.on_driver_call(self.NAME, info, caller)
-        self.call_counts[info.name] = self.call_counts.get(info.name, 0) + 1
-        self._call_stack.append(info.name)
+        stack = self._call_stack
+        self.host.on_driver_call(self.NAME, info, stack[-1] if stack else None)
+        counts = self.call_counts
+        counts[name] = counts.get(name, 0) + 1
+        stack.append(name)
         try:
             return fn(self, *args, **kwargs)
         finally:
-            self._call_stack.pop()
+            stack.pop()

@@ -140,13 +140,15 @@ class SecureDriverHost:
         self._ctx.write_phys(addr, data)
 
     def compute(self, cycles: int) -> None:
-        """Charge secure-world CPU work."""
-        self._ctx.compute(cycles)
+        """Charge secure-world CPU work (the PTA runs in the secure world)."""
+        self.machine.cpu.execute(cycles)
 
     def on_driver_call(
         self, driver: str, info: DriverFunctionInfo, caller: str | None
     ) -> None:
         """Bookkeeping + optional tracing for one driver function call."""
-        self.compute(self.machine.costs.driver_call_cycles)
-        if self.tracer is not None and self.tracer.active:
-            self.tracer.record(driver, info, caller)
+        machine = self.machine
+        machine.cpu.execute(machine.costs.driver_call_cycles)
+        tracer = self.tracer
+        if tracer is not None and tracer.active:
+            tracer.record(driver, info, caller)

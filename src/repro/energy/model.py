@@ -72,9 +72,11 @@ class EnergyMeter:
         self.clock.subscribe(self._on_charge)
 
     def _on_charge(self, domain: CycleDomain, cycles: int) -> None:
-        seconds = cycles / self.clock.freq_hz
-        mj = self._power_mw[domain] * seconds  # mW * s = mJ
-        self._energy_mj[domain] = self._energy_mj.get(domain, 0.0) + mj
+        energy = self._energy_mj
+        # mW * s = mJ, accumulated in charge order (float sums depend on it).
+        energy[domain] = energy.get(domain, 0.0) + self._power_mw[domain] * (
+            cycles / self.clock.freq_hz
+        )
 
     def report(self) -> EnergyReport:
         """Cumulative energy since meter creation."""

@@ -30,11 +30,13 @@ class Observability:
         self.metrics = MetricsRegistry()
         self.tracer = SpanTracer(clock, cpu=cpu, metrics=self.metrics)
         self._clock = clock
+        self._counter_names = {d: f"cycles.{d.value}" for d in CycleDomain}
         clock.subscribe(self._on_charge)
 
     def _on_charge(self, domain: CycleDomain, cycles: int) -> None:
-        if self.metrics.enabled:
-            self.metrics.counter(f"cycles.{domain.value}").inc(cycles)
+        metrics = self.metrics
+        if metrics.enabled:
+            metrics.counter(self._counter_names[domain]).inc(cycles)
 
     # -- convenience -----------------------------------------------------------
 

@@ -50,12 +50,12 @@ class DmaEngine:
                 f"injected DMA abort (dest=0x{dest_addr:x}, "
                 f"world={world.value})"
             )
-        words = controller.drain_array(max_words)
-        if len(words):
-            payload = words.astype("<u4").tobytes()
+        payload = controller.drain_bytes(max_words)
+        moved = len(payload) // 4
+        if moved:
             self.machine.memory.write(dest_addr, payload, world)
             # Streaming cost over and above the memory-system charge.
-            self.machine.clock.advance(len(words) * 2, CycleDomain.DMA)
+            self.machine.clock.advance(moved * 2, CycleDomain.DMA)
         self.transfers += 1
-        self.words_moved += len(words)
-        return len(words)
+        self.words_moved += moved
+        return moved

@@ -13,19 +13,23 @@ protocol at the level a driver interacts with it:
   request interface.  Drivers program it exactly like hardware: store to
   CTRL, poll STATUS/FIFO_LEVEL, load from the FIFO register.
 
-The RX FIFO is stored as numpy word blocks (:class:`_WordFifo`) so the
-capture hot path moves level-sized arrays instead of one Python integer
-per frame.  The FIFO register additionally supports *window reads*: a
-single ``4*n``-byte load from the FIFO offset pops ``n`` words in one
-MMIO transaction, modelling the burst access a real bus master issues —
-this is what lets the driver drain a whole FIFO level per transaction.
+The RX FIFO (:class:`_WordFifo`) holds its words as little-endian bus
+bytes in one ``bytearray`` — the form MMIO loads and DMA hand to memory —
+so the capture hot path moves level-sized byte slices instead of one
+Python integer per frame.  :meth:`I2sController.capture` packs a batch of
+words in three numpy ops (sequence ``arange``, shift, OR with the samples'
+``uint16`` view), and a drain recovers the int16 samples as the strided
+view ``words.view("<i2")[::2]``.  The FIFO register additionally supports
+*window reads*: a single ``4*n``-byte load from the FIFO offset pops ``n``
+words in one MMIO transaction, modelling the burst access a real bus
+master issues — this is what lets the driver drain a whole FIFO level per
+transaction.
 """
 
 from __future__ import annotations
 
 import enum
 import struct
-from collections import deque
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -70,65 +74,44 @@ class StatusBits(enum.IntFlag):
     ENABLED = 1 << 3
 
 
-class _WordFifo:
-    """RX FIFO backed by numpy word blocks.
+_RX_ON = int(CtrlBits.ENABLE | CtrlBits.RX_ENABLE)
 
-    Hardware-equivalent to a ``deque[int]`` of 32-bit words, but pushes
-    and pops whole arrays so a level-sized drain is O(blocks), not
-    O(words) of Python-level work.
+
+class _WordFifo:
+    """RX FIFO of 32-bit words, held as little-endian bus bytes.
+
+    Hardware-equivalent to a ``deque[int]`` of words, but one
+    ``bytearray`` in the byte order an MMIO window read and a DMA burst
+    deliver, so pushing a packed batch is one append and popping ``n``
+    words is one slice (CPython trims a ``bytearray``'s front in O(1)).
     """
 
-    __slots__ = ("_blocks", "_head", "_len")
+    __slots__ = ("_buf",)
 
     def __init__(self) -> None:
-        self._blocks: deque[np.ndarray] = deque()
-        self._head = 0  # consumed words of the front block
-        self._len = 0
+        self._buf = bytearray()
 
     def __len__(self) -> int:
-        return self._len
+        return len(self._buf) >> 2
 
     def push(self, words: np.ndarray) -> None:
         """Append a block of uint32 words."""
-        if len(words):
-            self._blocks.append(words)
-            self._len += len(words)
+        self._buf += words.astype("<u4", copy=False).tobytes()
 
-    def pop(self) -> int:
-        """Pop the oldest word (single FIFO-register load)."""
-        if not self._len:
-            raise FifoUnderrunError("I2S RX FIFO empty")
-        block = self._blocks[0]
-        word = int(block[self._head])
-        self._head += 1
-        self._len -= 1
-        if self._head == len(block):
-            self._blocks.popleft()
-            self._head = 0
-        return word
-
-    def pop_array(self, max_words: int) -> np.ndarray:
-        """Pop up to ``max_words`` oldest words as one uint32 array."""
-        n = min(max_words, self._len)
-        out = np.empty(n, dtype=np.uint32)
-        filled = 0
-        while filled < n:
-            block = self._blocks[0]
-            take = min(len(block) - self._head, n - filled)
-            out[filled : filled + take] = block[self._head : self._head + take]
-            filled += take
-            self._head += take
-            self._len -= take
-            if self._head == len(block):
-                self._blocks.popleft()
-                self._head = 0
+    def pop_bytes(self, n_words: int) -> bytes:
+        """Pop exactly ``n_words`` oldest words as bus bytes."""
+        n = 4 * n_words
+        if n > len(self._buf):
+            raise FifoUnderrunError(
+                f"I2S RX FIFO underrun: {n_words} word(s) read, {len(self)} buffered"
+            )
+        out = bytes(self._buf[:n])
+        del self._buf[:n]
         return out
 
     def clear(self) -> None:
         """Drop all buffered words (FIFO_RESET)."""
-        self._blocks.clear()
-        self._head = 0
-        self._len = 0
+        self._buf.clear()
 
 
 class I2sBus:
@@ -200,9 +183,7 @@ class I2sController(MmioHandler):
     @property
     def enabled(self) -> bool:
         """True when CTRL.ENABLE and CTRL.RX_ENABLE are both set."""
-        return bool(self._ctrl & CtrlBits.ENABLE) and bool(
-            self._ctrl & CtrlBits.RX_ENABLE
-        )
+        return self._ctrl & _RX_ON == _RX_ON
 
     @property
     def fifo_level(self) -> int:
@@ -227,13 +208,16 @@ class I2sController(MmioHandler):
         self.clock.advance(capture_cycles, CycleDomain.PERIPHERAL)
         was_overrun = self._overrun_sticky
         # Frames past the FIFO's free space are dropped — hardware never
-        # blocks.  Packing is vectorized: seq in the high half, sample low.
+        # blocks.  Packing is vectorized: seq in the high half, sample low;
+        # the uint32 shift wraps the sequence at 16 bits.
         accepted = min(self.fifo_depth - len(self._fifo), len(samples))
         dropped = len(samples) - accepted
         if accepted:
-            seq = (self._frame_count + np.arange(accepted, dtype=np.int64)) & 0xFFFF
-            low = (samples[:accepted].astype(np.int64) & 0xFFFF).astype(np.uint32)
-            self._fifo.push((seq.astype(np.uint32) << np.uint32(16)) | low)
+            seq = self._frame_count & 0xFFFF
+            self._fifo.push(
+                (np.arange(seq, seq + accepted, dtype=np.uint32) << 16)
+                | samples[:accepted].view(np.uint16)
+            )
             self._frame_count += accepted
         if dropped:
             self._overrun_sticky = True
@@ -246,15 +230,15 @@ class I2sController(MmioHandler):
 
     def pop_word(self) -> int:
         """Pop one FIFO word (what a FIFO-register load does)."""
-        return self._fifo.pop()
+        return int.from_bytes(self._fifo.pop_bytes(1), "little")
 
-    def drain_array(self, max_words: int) -> np.ndarray:
-        """Pop up to ``max_words`` as one uint32 array (burst read)."""
-        return self._fifo.pop_array(max_words)
+    def drain_bytes(self, max_words: int) -> bytes:
+        """Pop up to ``max_words`` as little-endian bus bytes (DMA burst)."""
+        return self._fifo.pop_bytes(min(max_words, len(self._fifo)))
 
     def drain_words(self, max_words: int) -> list[int]:
         """Pop up to ``max_words`` (DMA burst read), as Python ints."""
-        return self._fifo.pop_array(max_words).tolist()
+        return np.frombuffer(self.drain_bytes(max_words), dtype="<u4").tolist()
 
     # -- MMIO register file -----------------------------------------------------------
 
@@ -273,13 +257,7 @@ class I2sController(MmioHandler):
                 raise BusProtocolError(
                     f"I2S FIFO window reads are word-multiples (got {size} bytes)"
                 )
-            n_words = size // 4
-            if self.fifo_level < n_words:
-                raise FifoUnderrunError(
-                    f"I2S FIFO window read of {n_words} words with only "
-                    f"{self.fifo_level} buffered"
-                )
-            return self.drain_array(n_words).astype("<u4").tobytes()
+            return self._fifo.pop_bytes(size // 4)
         if size != 4:
             raise BusProtocolError(f"I2S registers are 32-bit (got {size}-byte read)")
         if offset == I2sReg.CTRL:

@@ -49,6 +49,11 @@ class CycleDomain(enum.Enum):
     PERIPHERAL = "peripheral"
     IDLE = "idle"
 
+    # Members are singletons, so identity hashing is exact — and it runs
+    # at C speed on every per-domain dict access of every clock charge,
+    # where Enum's default is a Python-level ``hash(self._name_)``.
+    __hash__ = object.__hash__
+
 
 @dataclass(frozen=True)
 class ClockSnapshot:

@@ -38,6 +38,8 @@ class SecurityAttr(enum.Enum):
     SECURE = "secure"
     NONSECURE = "nonsecure"
 
+    __hash__ = object.__hash__  # singletons: see CycleDomain.__hash__
+
     def accessible_from(self, world: World) -> bool:
         """Hardware rule: secure world sees everything; normal world sees
         only non-secure partitions."""
@@ -98,24 +100,20 @@ class MemoryRegion:
 
 
 class Tzasc:
-    """The TZASC partition table.
+    """The TZASC programming interface.
 
-    Regions register here with an initial attribute; secure-world software
-    (and only secure-world software) may later reprogram a partition, which
-    is how OP-TEE claims carveouts at boot.
+    Each mapped region is one partition, and ``region.attr`` is the only
+    record of its attribute: regions start with their declared attribute,
+    and secure-world software (and only secure-world software) may later
+    reprogram a partition, which is how OP-TEE claims carveouts at boot.
     """
 
     def __init__(self, tracer: "SpanTracer | None" = None):
-        self._attrs: dict[str, SecurityAttr] = {}
         self._tracer = tracer
-
-    def register(self, region: MemoryRegion) -> None:
-        """Add a partition with the region's declared attribute."""
-        self._attrs[region.name] = region.attr
 
     def attr_of(self, region: MemoryRegion) -> SecurityAttr:
         """Current attribute of a partition."""
-        return self._attrs.get(region.name, region.attr)
+        return region.attr
 
     def reprogram(self, region: MemoryRegion, attr: SecurityAttr, world: World) -> None:
         """Change a partition's attribute.  Secure world only.
@@ -129,18 +127,10 @@ class Tzasc:
                 f"normal world attempted to reprogram TZASC partition "
                 f"{region.name!r}"
             )
-        self._attrs[region.name] = attr
         region.attr = attr
         if self._tracer is not None:
             self._tracer.emit(
                 "tz.tzasc", "reprogram", region=region.name, attr=attr.value
-            )
-
-    def check(self, region: MemoryRegion, world: World) -> None:
-        """Raise :class:`SecureAccessViolation` on a forbidden access."""
-        if not self.attr_of(region).accessible_from(world):
-            raise SecureAccessViolation(
-                f"{world.value} world access to secure region {region.name!r}"
             )
 
 
@@ -173,15 +163,20 @@ class PhysicalMemory:
     # -- topology ------------------------------------------------------------
 
     def add_region(self, region: MemoryRegion) -> MemoryRegion:
-        """Map a region into the address space (must not overlap)."""
+        """Map a region into the address space.
+
+        It must not overlap a mapped region or reuse a mapped region's
+        name: :meth:`region` and the MMIO handler table are keyed by name.
+        """
         for existing in self._regions:
+            if existing.name == region.name:
+                raise ValueError(f"region name {region.name!r} already mapped")
             if existing.overlaps(region):
                 raise ValueError(
                     f"region {region.name!r} overlaps {existing.name!r}"
                 )
         self._regions.append(region)
         self._regions.sort(key=lambda r: r.base)
-        self.tzasc.register(region)
         return region
 
     def region(self, name: str) -> MemoryRegion:
@@ -236,28 +231,29 @@ class PhysicalMemory:
 
     def attr_at(self, addr: int) -> SecurityAttr:
         """Security attribute of the partition containing ``addr``."""
-        return self.tzasc.attr_of(self.resolve(addr))
+        return self.resolve(addr).attr
 
     # -- internals ------------------------------------------------------------
 
     def _check(self, region: MemoryRegion, world: World, addr: int, write: bool) -> None:
         self.access_count += 1
-        try:
-            self.tzasc.check(region, world)
-        except SecureAccessViolation:
-            self.violation_count += 1
-            self.tracer.emit(
-                "tz.fault",
-                "secure_access_violation",
-                region=region.name,
-                addr=addr,
-                world=world.value,
-                write=write,
-            )
-            raise
+        if region.attr.accessible_from(world):
+            return
+        self.violation_count += 1
+        self.tracer.emit(
+            "tz.fault",
+            "secure_access_violation",
+            region=region.name,
+            addr=addr,
+            world=world.value,
+            write=write,
+        )
+        raise SecureAccessViolation(
+            f"{world.value} world access to secure region {region.name!r}"
+        )
 
     def _charge(self, nbytes: int, region: MemoryRegion, world: World) -> None:
-        secure = self.tzasc.attr_of(region) is SecurityAttr.SECURE
+        secure = region.attr is SecurityAttr.SECURE
         cycles = self.costs.mem_copy_cycles(nbytes, secure)
         self.clock.advance(cycles, world.domain)
 

@@ -22,17 +22,23 @@ class World(enum.Enum):
     NORMAL = "normal"
     SECURE = "secure"
 
+    __hash__ = object.__hash__  # singletons: see CycleDomain.__hash__
+
     @property
     def domain(self) -> CycleDomain:
         """Clock domain work in this world is charged to."""
-        if self is World.SECURE:
-            return CycleDomain.SECURE_CPU
-        return CycleDomain.NORMAL_CPU
+        return _WORLD_DOMAIN[self]
 
     @property
     def other(self) -> "World":
         """The opposite world."""
         return World.SECURE if self is World.NORMAL else World.NORMAL
+
+
+_WORLD_DOMAIN = {
+    World.NORMAL: CycleDomain.NORMAL_CPU,
+    World.SECURE: CycleDomain.SECURE_CPU,
+}
 
 
 @dataclass

@@ -5,9 +5,16 @@ import struct
 import numpy as np
 import pytest
 
+from repro.drivers.hosting import KernelDriverHost
+from repro.drivers.i2s_driver import I2sDriver
 from repro.errors import BusProtocolError, FifoUnderrunError
 from repro.obs.span import SpanTracer
-from repro.peripherals.audio import AudioFormat, SilenceSource, ToneSource
+from repro.peripherals.audio import (
+    AudioFormat,
+    BufferSource,
+    SilenceSource,
+    ToneSource,
+)
 from repro.peripherals.i2s import (
     CtrlBits,
     I2sBus,
@@ -17,6 +24,9 @@ from repro.peripherals.i2s import (
 )
 from repro.peripherals.microphone import DigitalMicrophone
 from repro.sim.clock import CycleDomain, SimClock
+from repro.tz.machine import TrustZoneMachine
+from repro.tz.memory import MemoryRegion, SecurityAttr
+from repro.tz.worlds import World
 
 
 def make_controller(fifo_depth=64, fmt=None):
@@ -225,3 +235,64 @@ class TestSignalIntegrity:
             sample = ctrl.pop_word() & 0xFFFF
             got.append(sample - 0x10000 if sample >= 0x8000 else sample)
         assert np.array_equal(np.array(got, dtype=np.int16), expect)
+
+
+class TestSequenceWrap:
+    """The 16-bit frame-sequence wrap, where batch packing shifts a
+    ``uint32`` arange, and the FIFO edges just past it."""
+
+    SAMPLES = np.array(
+        [-32768, 32767, -1, 0, 1, -2, 12345, -12345] * 4, dtype=np.int16
+    )
+
+    def _wrapped_rig(self):
+        machine = TrustZoneMachine()
+        region = machine.memory.add_region(
+            MemoryRegion("i2s_mmio", 0x0400_0000, 0x1000,
+                         SecurityAttr.NONSECURE, device=True)
+        )
+        ctrl = I2sController(machine.clock, machine.obs.tracer)
+        machine.memory.attach_mmio("i2s_mmio", ctrl)
+        wire(ctrl, source=BufferSource(self.SAMPLES.copy()))
+        driver = I2sDriver(KernelDriverHost(machine), ctrl, region)
+        driver.probe()
+        driver.pcm_open_capture(len(self.SAMPLES))
+        driver.trigger_start()
+        ctrl._frame_count = 0xFFF0
+        assert ctrl.capture(len(self.SAMPLES)) == len(self.SAMPLES)
+        return machine, driver, ctrl
+
+    def test_high_halves_wrap_to_zero(self):
+        _, _, ctrl = self._wrapped_rig()
+        words = ctrl.drain_words(len(self.SAMPLES))
+        assert [w >> 16 for w in words] == (
+            list(range(0xFFF0, 0x10000)) + list(range(0x10))
+        )
+        assert words == [
+            ((0xFFF0 + i) & 0xFFFF) << 16 | (int(s) & 0xFFFF)
+            for i, s in enumerate(self.SAMPLES)
+        ]
+
+    def test_pio_and_dma_drains_return_the_samples(self):
+        _, pio_driver, _ = self._wrapped_rig()
+        _, dma_driver, _ = self._wrapped_rig()
+        dma_driver.set_capture_mode("dma")
+        pio = pio_driver._drain_fifo_pio(len(self.SAMPLES))
+        dma = dma_driver._drain_fifo_dma(len(self.SAMPLES))
+        assert pio.dtype == dma.dtype == np.int16
+        assert np.array_equal(pio, self.SAMPLES)
+        assert np.array_equal(dma, self.SAMPLES)
+
+    def test_underruns_and_reset(self):
+        machine, driver, ctrl = self._wrapped_rig()
+        fifo = driver.reg_base + int(I2sReg.FIFO)
+        with pytest.raises(FifoUnderrunError):
+            machine.memory.read(fifo, 4 * (len(self.SAMPLES) + 1), World.NORMAL)
+        assert ctrl.fifo_level == len(self.SAMPLES)  # a failed burst pops nothing
+        machine.memory.read(fifo, 4 * len(self.SAMPLES), World.NORMAL)
+        with pytest.raises(FifoUnderrunError):
+            ctrl.pop_word()
+        ctrl.capture(5)
+        reg_write(ctrl, I2sReg.CTRL, int(CtrlBits.FIFO_RESET))
+        assert ctrl.fifo_level == 0
+        assert reg_read(ctrl, I2sReg.STATUS) & StatusBits.RX_EMPTY

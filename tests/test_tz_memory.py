@@ -10,6 +10,7 @@ from repro.tz.costs import CostModel
 from repro.tz.memory import (
     MemoryAllocator,
     MemoryRegion,
+    MmioHandler,
     PhysicalMemory,
     SecurityAttr,
     Tzasc,
@@ -60,6 +61,50 @@ class TestRegions:
         assert mem.region("a").base == 0
         with pytest.raises(InvalidAddressError):
             mem.region("nope")
+
+
+class TestDuplicateRegionNames:
+    """``region(name)`` and the MMIO handler table are keyed by name, so a
+    second region reusing a mapped name must be refused; each test is one
+    way such an alias would expose, lock or shadow a region."""
+
+    def test_nonsecure_alias_cannot_expose_secure_region(self):
+        mem = make_memory()
+        mem.add_region(MemoryRegion("buf", 0x2000, 0x100, SecurityAttr.SECURE))
+        mem.write(0x2000, b"KEY!", World.SECURE)
+        with pytest.raises(ValueError, match="already mapped"):
+            mem.add_region(
+                MemoryRegion("buf", 0x3000, 0x100, SecurityAttr.NONSECURE)
+            )
+        with pytest.raises(SecureAccessViolation):
+            mem.read(0x2000, 4, World.NORMAL)
+
+    def test_secure_alias_cannot_lock_nonsecure_region(self):
+        mem = make_memory()
+        mem.add_region(MemoryRegion("buf", 0x1000, 0x100, SecurityAttr.NONSECURE))
+        with pytest.raises(ValueError, match="already mapped"):
+            mem.add_region(MemoryRegion("buf", 0x2000, 0x100, SecurityAttr.SECURE))
+        mem.write(0x1000, b"ok", World.NORMAL)
+        assert mem.read(0x1000, 2, World.NORMAL) == b"ok"
+
+    def test_alias_cannot_inherit_mmio_handler(self):
+        class Registers(MmioHandler):
+            def mmio_read(self, offset, size):
+                return b"\xaa" * size
+
+        mem = make_memory()
+        mem.add_region(
+            MemoryRegion("dev", 0x1000, 0x100, SecurityAttr.NONSECURE, device=True)
+        )
+        mem.attach_mmio("dev", Registers())
+        with pytest.raises(ValueError, match="already mapped"):
+            mem.add_region(
+                MemoryRegion("dev", 0x2000, 0x100, SecurityAttr.NONSECURE)
+            )
+        with pytest.raises(InvalidAddressError):
+            mem.read(0x2000, 4, World.NORMAL)
+        assert mem.read(0x1000, 4, World.NORMAL) == b"\xaa" * 4
+        assert [r.name for r in mem.regions()] == ["dev"]
 
 
 class TestTzascEnforcement:
@@ -143,7 +188,6 @@ class TestTzascReprogramming:
     def test_attr_of_tracks_reprogramming(self):
         tzasc = Tzasc()
         region = MemoryRegion("p", 0, 16, SecurityAttr.NONSECURE)
-        tzasc.register(region)
         assert tzasc.attr_of(region) is SecurityAttr.NONSECURE
         tzasc.reprogram(region, SecurityAttr.SECURE, World.SECURE)
         assert tzasc.attr_of(region) is SecurityAttr.SECURE
