@@ -6,7 +6,9 @@ aggregation math the operational tier stands on: fleet quantiles from
 :meth:`BucketHistogram.merge` must equal the quantiles of the
 concatenated per-device latency streams (exactly while under the sample
 cap, and within one bucket's relative error in general), and the merged
-counters must equal the per-device sums.  The fleet document lands in
+counters must equal the per-device sums.  Each device's stream is the
+raw samples of its registry histogram, cross-checked against the run
+summary's utterance count and total latency.  The fleet document lands in
 ``benchmarks/results/fleet.json`` for the CI artifact; the text table in
 ``results/t11_fleet.txt``.
 """
@@ -37,8 +39,14 @@ def test_t11_fleet_telemetry(benchmark, bundle_cnn):
     assert len({d.spec.seed for d in report.devices}) == DEVICES
 
     # Merged quantiles vs the concatenated ground-truth stream.
+    streams = []
+    for d in report.devices:
+        doc = d.latency_hist.to_doc()
+        assert doc["count"] == d.summary["utterances"]
+        assert doc["total"] == d.summary["total_latency_cycles"]
+        streams.append(doc["samples"])
     merged = report.latency_hist
-    concat = sorted(lat for d in report.devices for lat in d.latencies)
+    concat = sorted(lat for stream in streams for lat in stream)
     assert merged.count == len(concat)
     assert merged.min == concat[0] and merged.max == concat[-1]
     assert merged.total == sum(concat)

@@ -4,9 +4,9 @@ Quantifies the observability pillar's three-way trade and guards its
 contracts:
 
 * telemetry bytes shipped per device — the metrics registry JSONL
-  (including the snapshot ring), the latency samples, and the kept trace
-  spans — unsampled vs ``--sample-rate auto``, with the reduction ratio
-  gated in CI;
+  (including the snapshot ring and the latency histogram) and the kept
+  trace spans — unsampled vs ``--sample-rate auto``, with the reduction
+  ratio gated in CI;
 * the fleet p99 latency error that weighted 1-in-k sampling introduces,
   asserted within one DDSketch bucket of the unsampled estimate (the
   unbiasedness contract of the weighted merge);
@@ -60,10 +60,9 @@ _BURN_RULE = SloRule(
 
 
 def _telemetry_bytes(dev) -> int:
-    """Bytes this device ships off-box: registry (with snapshot ring),
-    latency samples, and kept trace spans."""
+    """Bytes this device ships off-box: registry (with snapshot ring and
+    latency histogram) and kept trace spans."""
     n = len(to_jsonl(dev.registry).encode())
-    n += len(json.dumps(dev.latencies).encode())
     n += sum(
         len(json.dumps(doc, sort_keys=True).encode())
         for doc in dev.trace_spans

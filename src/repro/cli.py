@@ -214,15 +214,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 
 
 def _cmd_health(args: argparse.Namespace) -> int:
-    from repro.obs.fleet import (
-        FAULT_PROFILES,
-        DeviceSpec,
-        simulate_device_runtime,
-    )
+    from repro.obs.fleet import DeviceSpec, simulate_device_runtime
     from repro.obs.health import (
         FlightRecorder,
         HealthMonitor,
-        Watchdog,
         default_slo_rules,
     )
     from repro.provision import provision_bundle
@@ -241,19 +236,18 @@ def _cmd_health(args: argparse.Namespace) -> int:
         spec, bundle, recorder=recorder, collect_traces=args.trace_ids,
     )
     device = runtime.report
-    machine = runtime.machine
     monitor = HealthMonitor(
         device.registry,
         rules=default_slo_rules(
             latency_budget_cycles=args.latency_budget_ms / 1e3
-            * machine.clock.freq_hz,
+            * device.freq_hz,
             relay_success_min=args.relay_success_min,
             max_queue_depth=args.max_queue_depth,
             recovery_budget_cycles=args.recovery_budget_ms / 1e3
-            * machine.clock.freq_hz,
+            * device.freq_hz,
         ),
         recorder=recorder,
-        watchdog=Watchdog(machine.obs.tracer, machine.clock),
+        watchdog=device.stalled,
     )
     # The default dump path is repo-rooted (not CWD-relative) so the
     # command works from any directory; --dump "" skips writing.
@@ -265,7 +259,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
         burn_window_hours=args.window_hours if args.burn_rate else None,
         burn_factor=args.burn_factor,
         trace_only=args.trace_only,
-        freq_hz=machine.clock.freq_hz,
+        freq_hz=device.freq_hz,
     )
     print(f"device {spec.device_id} (seed {spec.seed}, "
           f"{spec.fault_profile} network, "

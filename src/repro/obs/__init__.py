@@ -25,12 +25,7 @@ every pipeline decision byte-identical.
 """
 
 from repro.obs.context import Observability
-from repro.obs.health import (
-    FlightRecorder,
-    HealthMonitor,
-    SloRule,
-    Watchdog,
-)
+from repro.obs.health import FlightRecorder, HealthMonitor, SloRule
 from repro.obs.metrics import (
     BucketHistogram,
     Counter,
@@ -50,5 +45,4 @@ __all__ = [
     "SloRule",
     "Span",
     "SpanTracer",
-    "Watchdog",
 ]

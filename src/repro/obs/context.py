@@ -52,11 +52,6 @@ class Observability:
         """Feed closed spans and events into a health flight recorder."""
         self.tracer.attach_recorder(recorder)
 
-    def enable(self) -> None:
-        """Resume span and event retention and metric recording."""
-        self.tracer.enabled = True
-        self.metrics.enabled = True
-
     def disable(self) -> None:
         """Stop retaining spans and events and recording metrics.
 

@@ -1,10 +1,11 @@
 """Registry exporters: OpenMetrics / Prometheus text, JSONL, timelines.
 
 The fleet tier needs metrics to leave the process: the OpenMetrics text
-format feeds any Prometheus-compatible scraper or pushgateway, and the
-JSONL form round-trips (``registry_from_jsonl``) so per-device registries
-can be written by one run and merged by another — the transport behind
-``repro fleet``'s merged report and the CI perf-gate artifacts.
+format (``repro fleet --metrics-out``) feeds any Prometheus-compatible
+scraper or pushgateway, and the JSONL form writes one metric per line
+with full histogram bucket state — the off-box telemetry T15 measures.
+Neither is read back: shard workers hand their reports to the parent
+pickled.
 
 Metric names are sanitized to the Prometheus grammar (dots become
 underscores); :class:`~repro.obs.metrics.BucketHistogram` metrics export
@@ -25,11 +26,7 @@ import json
 import re
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import (
-    BucketHistogram,
-    MetricsRegistry,
-    RegistrySnapshot,
-)
+from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.fleet import FleetReport
@@ -45,108 +42,50 @@ def sanitize_name(name: str) -> str:
     return out
 
 
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-
-
-def unescape_label(value: str) -> str:
-    """Inverse of the OpenMetrics label escaping applied on export.
-
-    Walks the string left-to-right so ``\\\\n`` (escaped backslash then
-    ``n``) is not confused with ``\\n`` (newline) — a naive chain of
-    ``str.replace`` calls gets that wrong.
-    """
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-            if nxt == '"':
-                out.append('"')
-                i += 2
-                continue
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
-
-
-def _render_labels(labels: dict[str, str] | None) -> str:
-    if not labels:
-        return ""
-    inner = ",".join(
-        f'{sanitize_name(k)}="{_escape_label(str(v))}"'
-        for k, v in sorted(labels.items())
-    )
-    return "{" + inner + "}"
-
-
-def _merge_labels(
-    labels: dict[str, str] | None, extra: dict[str, str]
-) -> dict[str, str]:
-    return {**(labels or {}), **extra}
-
-
 def _format_value(value: float) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value)
 
 
-def to_openmetrics(
-    registry: MetricsRegistry,
-    namespace: str = "repro",
-    labels: dict[str, str] | None = None,
-) -> str:
+def to_openmetrics(registry: MetricsRegistry) -> str:
     """The registry in OpenMetrics / Prometheus text exposition format.
 
-    ``labels`` (e.g. ``{"device": "d03"}``) are attached to every sample
-    so fleet exports stay distinguishable after aggregation.  The output
-    ends with ``# EOF`` per the OpenMetrics spec.
+    Every metric is named ``repro_<sanitized name>``; the only label is
+    a histogram bucket's numeric ``le`` bound, which needs no escaping.
+    The output ends with ``# EOF`` per the OpenMetrics spec.
     """
     lines: list[str] = []
-    snap_labels = _render_labels(labels)
     for name, value in registry.counters().items():
-        metric = f"{namespace}_{sanitize_name(name)}"
+        metric = f"repro_{sanitize_name(name)}"
         lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric}_total{snap_labels} {_format_value(float(value))}")
+        lines.append(f"{metric}_total {_format_value(float(value))}")
     for name, value in registry.gauges().items():
-        metric = f"{namespace}_{sanitize_name(name)}"
+        metric = f"repro_{sanitize_name(name)}"
         lines.append(f"# TYPE {metric} gauge")
-        lines.append(f"{metric}{snap_labels} {_format_value(float(value))}")
+        lines.append(f"{metric} {_format_value(float(value))}")
     for name, hist in registry.histograms().items():
-        metric = f"{namespace}_{sanitize_name(name)}"
+        metric = f"repro_{sanitize_name(name)}"
         lines.append(f"# TYPE {metric} histogram")
         cum = hist._zero
         if hist._zero:
-            le = _render_labels(_merge_labels(labels, {"le": "0"}))
-            lines.append(f"{metric}_bucket{le} {cum}")
+            lines.append(f'{metric}_bucket{{le="0"}} {cum}')
         for idx in sorted(hist._buckets):
             cum += hist._buckets[idx]
             bound = hist.gamma ** idx
-            le = _render_labels(_merge_labels(labels, {"le": repr(bound)}))
-            lines.append(f"{metric}_bucket{le} {cum}")
-        le = _render_labels(_merge_labels(labels, {"le": "+Inf"}))
-        lines.append(f"{metric}_bucket{le} {hist.count}")
-        lines.append(f"{metric}_sum{snap_labels} {_format_value(float(hist.total))}")
-        lines.append(f"{metric}_count{snap_labels} {hist.count}")
+            lines.append(f'{metric}_bucket{{le="{bound!r}"}} {cum}')
+        lines.append(f'{metric}_bucket{{le="+Inf"}} {hist.count}')
+        lines.append(f"{metric}_sum {_format_value(float(hist.total))}")
+        lines.append(f"{metric}_count {hist.count}")
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 
 
 def to_jsonl(registry: MetricsRegistry) -> str:
-    """One JSON object per metric; inverse of :func:`registry_from_jsonl`.
+    """One JSON object per metric, then the snapshot ring if any.
 
-    Histograms carry their full bucket state so a reader can rebuild and
-    *merge* them, not just read point summaries.
+    Histograms carry their full bucket state (``BucketHistogram.to_doc``),
+    not just point summaries, so a consumer can merge them.
     """
     lines = []
     for name, value in registry.counters().items():
@@ -171,31 +110,6 @@ def to_jsonl(registry: MetricsRegistry) -> str:
             sort_keys=True,
         ))
     return "\n".join(lines)
-
-
-def registry_from_jsonl(text: str) -> MetricsRegistry:
-    """Rebuild a registry from its :func:`to_jsonl` export."""
-    registry = MetricsRegistry()
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        doc: dict[str, Any] = json.loads(line)
-        kind = doc["kind"]
-        if kind == "counter":
-            registry.counter(doc["name"]).inc(int(doc["value"]))
-        elif kind == "gauge":
-            registry.gauge(doc["name"]).set(doc["value"])
-        elif kind == "histogram":
-            hist = BucketHistogram.from_doc(doc["state"])
-            registry._histograms[hist.name] = hist
-        elif kind == "snapshots":
-            registry._snapshots = [
-                RegistrySnapshot.from_doc(s) for s in doc["ring"]
-            ]
-        else:
-            raise ValueError(f"unknown metric kind {kind!r}")
-    return registry
 
 
 def fleet_trace_jsonl(report: "FleetReport") -> str:

@@ -17,17 +17,17 @@ processes (``shards=N``).  Each worker reduces its devices to
 or platform object graphs — which the parent reassembles in roster order
 and folds through the same merge machinery, so the sharded merged report
 is byte-identical to the sequential run for the same ``(seed, devices)``.
-The full simulation state of a device (machine, platform, TA handle) is
-only retained on request via :func:`simulate_device_runtime`, for
-in-process consumers like the health CLI.
+Each device's :class:`MetricsRegistry` is the one record of its
+telemetry: the report's latency histogram is a view of the registry's
+``fleet.e2e_latency_cycles``, not a copy.  :func:`simulate_device_runtime`
+also hands back the device's live machine and platform, for in-process
+consumers like the health CLI; the fleet runner keeps only the report.
 
 Everything stays inside the repo's determinism contract: device seeds
 derive from the fleet seed, fault sequences come from each device's
 :class:`~repro.sim.faults.FaultInjector` fork, and no wall-clock or
 global RNG is consulted — the same ``(seed, devices)`` pair always
-produces the same fleet report regardless of ``shards``, and running
-with observability disabled leaves every pipeline decision
-byte-identical.
+produces the same fleet report regardless of ``shards``.
 """
 
 from __future__ import annotations
@@ -210,12 +210,12 @@ def partition_specs(
 class DeviceReport:
     """One device's run, reduced to mergeable, *picklable* telemetry.
 
-    A pure document: plain data plus :class:`BucketHistogram` /
-    :class:`MetricsRegistry` (both process-portable), never the machine
-    or platform object graphs — a report must cross a shard worker's
-    process boundary and must not pin O(devices) simulation state in the
-    parent.  Consumers that need the live machine (the health CLI's
-    watchdog/alert routing) use :func:`simulate_device_runtime` instead.
+    A pure document: plain data plus the device's :class:`MetricsRegistry`
+    (process-portable), never the machine or platform object graphs — a
+    report must cross a shard worker's process boundary and must not pin
+    O(devices) simulation state in the parent.  Consumers that need the
+    live platform (the health CLI's alert routing) use the
+    :class:`DeviceRuntime` that :func:`simulate_device_runtime` returns.
 
     ``clock_now``/``heartbeats``/``freq_hz`` carry the serializable
     inputs of the span watchdog and the cycle→wall-clock conversion, so
@@ -225,23 +225,32 @@ class DeviceReport:
     spec: DeviceSpec
     summary: dict[str, Any]
     relay: dict[str, int]
-    latencies: list[int]
-    latency_hist: BucketHistogram
     registry: MetricsRegistry
     world_switches: int
     energy_mj: float
     battery_days: float
     restarts: int = 0
-    degraded: int = 0
     client_restarts: int = 0
     freq_hz: float = DEFAULT_FREQ_HZ
     clock_now: int = 0
     heartbeats: dict[str, int] = field(default_factory=dict)
-    # Telemetry reduction: 1-in-k sampling weight applied to latencies /
-    # histograms (1 = unsampled) and the trace-stamped span docs kept for
-    # the fleet timeline (empty unless the run collected traces).
+    # Telemetry reduction: 1-in-k sampling weight applied to the
+    # registry's histograms (1 = unsampled) and the trace-stamped span
+    # docs kept for the fleet timeline (empty unless the run collected
+    # traces).
     sample_rate: int = 1
     trace_spans: list[dict[str, Any]] = field(default_factory=list)
+
+    @property
+    def latency_hist(self) -> BucketHistogram:
+        """End-to-end utterance latencies, read from the registry.
+
+        The registry's ``fleet.e2e_latency_cycles`` (sampled 1-in-k with
+        weight k, like every registry histogram); a device that ran no
+        utterance has none and reads as an empty histogram of that name.
+        """
+        hist = self.registry.histograms().get(LATENCY_METRIC)
+        return hist if hist is not None else BucketHistogram(LATENCY_METRIC)
 
     @property
     def relay_success_rate(self) -> float:
@@ -252,18 +261,19 @@ class DeviceReport:
     def stalled(
         self, stall_cycles: int = 10_000_000_000
     ) -> list[WatchdogAlert]:
-        """Watchdog verdict from the serialized heartbeat map.
+        """The span watchdog's verdict from the serialized heartbeats.
 
-        Same semantics as :meth:`repro.obs.health.Watchdog.check`, but
-        computed from the report document alone — no live tracer or
-        clock needed, so it works on reports shipped back from shard
-        workers (a device that ran with observability disabled has no
-        spans and reports the ``(no spans)`` sentinel).
+        :func:`~repro.obs.health.check_heartbeats` over the device's span
+        heartbeats as of its final cycle, computed from the report
+        document alone — no live tracer or clock needed, so it works on
+        reports shipped back from shard workers.  A report without
+        heartbeats reports the ``(no spans)`` sentinel.
         """
         return check_heartbeats(self.heartbeats, self.clock_now, stall_cycles)
 
     def to_doc(self) -> dict[str, Any]:
         """JSON-ready per-device row for ``fleet.json``."""
+        hist = self.latency_hist
         return {
             "device": self.spec.device_id,
             "seed": self.spec.seed,
@@ -280,9 +290,9 @@ class DeviceReport:
             "relay_success_rate": self.relay_success_rate,
             "queue_depth": self.relay.get("queue_depth", 0),
             "retries": self.relay.get("retries", 0),
-            "latency_p50_cycles": self.latency_hist.p50,
-            "latency_p95_cycles": self.latency_hist.p95,
-            "latency_p99_cycles": self.latency_hist.p99,
+            "latency_p50_cycles": hist.p50,
+            "latency_p95_cycles": hist.p95,
+            "latency_p99_cycles": hist.p99,
             "world_switches": self.world_switches,
             "energy_mj": self.energy_mj,
             "battery_days": self.battery_days,
@@ -290,7 +300,7 @@ class DeviceReport:
             "ingest_profile": self.spec.ingest_profile,
             "client_crash_profile": self.spec.client_crash_profile,
             "restarts": self.restarts,
-            "degraded": self.degraded,
+            "degraded": self.summary["degraded"],
             "client_restarts": self.client_restarts,
             "sample_rate": self.sample_rate,
         }
@@ -300,9 +310,9 @@ class DeviceReport:
 class DeviceRuntime:
     """A device report plus the live simulation objects behind it.
 
-    For in-process consumers only (the health CLI reads the machine's
-    tracer/clock and routes alerts through the platform's relay); never
-    crosses a process boundary and never appears in fleet documents.
+    For in-process consumers only (the health CLI routes alerts through
+    the platform's relay); never crosses a process boundary and never
+    appears in fleet documents.
     """
 
     report: DeviceReport
@@ -339,24 +349,22 @@ def _run_with_client_crashes(pipeline, workload, config: ClientCrashConfig):
 def simulate_device_runtime(
     spec: DeviceSpec,
     bundle,
-    observability: bool = True,
     recorder=None,
     sample_rate: int | str = 1,
     collect_traces: bool = False,
 ) -> DeviceRuntime:
-    """Run one device's workload, keeping the live machine around.
+    """Run one device's workload; the report plus the live machine.
 
     Fleet-level metrics (``fleet.*``) are recorded into the device's own
     registry so that merging registries yields the fleet rollup for free;
-    recording is a no-op when the machine's observability is disabled
-    (``observability=False``), and either way the pipeline's decisions
-    are untouched.  ``recorder`` attaches a health
+    recording is passive, so the pipeline's decisions are untouched.
+    ``recorder`` attaches a health
     :class:`~repro.obs.health.FlightRecorder` before the run so a later
     SLO violation can dump the spans that led up to it.
 
     ``sample_rate`` (an int or ``"auto"``, see :func:`resolve_sample_rate`)
     reduces telemetry 1-in-k: the registry samples histogram observations
-    with weight ``k`` and the report keeps every k-th latency and trace.
+    with weight ``k`` and the report keeps every k-th trace.
     ``collect_traces`` turns on deterministic trace-id stamping in the
     pipeline and retains the trace-stamped span docs on the report.
     Neither knob touches decisions — they change what telemetry is
@@ -378,8 +386,6 @@ def simulate_device_runtime(
         secure_faults=secure_faults,
         ingestion=spec.ingest_config(),
     )
-    if not observability:
-        platform.machine.obs.disable()
     if recorder is not None:
         platform.machine.obs.attach_recorder(recorder)
     # Sampling must be live before the run so span-fed histograms sample
@@ -418,14 +424,6 @@ def simulate_device_runtime(
 
     summary = run.summary()
     relay = dict(run.relay_stats)
-    all_latencies = [r.latency_cycles for r in run.results]
-    # The report ships every k-th latency with weight k — same phase as
-    # the registry's systematic sampler, so the two stay consistent and
-    # merged fleet quantiles remain unbiased.
-    latencies = all_latencies[::sample_rate]
-    hist = BucketHistogram(LATENCY_METRIC)
-    for lat in latencies:
-        hist.observe(lat, weight=sample_rate)
 
     machine = platform.machine
     energy_mj = platform.energy.report().total_mj
@@ -505,14 +503,11 @@ def simulate_device_runtime(
         spec=spec,
         summary=summary,
         relay=relay,
-        latencies=latencies,
-        latency_hist=hist,
         registry=metrics,
         world_switches=machine.cpu.switch_count,
         energy_mj=energy_mj,
         battery_days=battery.days,
         restarts=restarts,
-        degraded=run.degraded_count(),
         client_restarts=client_restarts,
         freq_hz=machine.clock.freq_hz,
         clock_now=machine.clock.now,
@@ -528,34 +523,13 @@ def simulate_device_runtime(
     )
 
 
-def simulate_device(
-    spec: DeviceSpec,
-    bundle,
-    observability: bool = True,
-    recorder=None,
-    sample_rate: int | str = 1,
-    collect_traces: bool = False,
-) -> DeviceReport:
-    """Run one device's workload and reduce it to a :class:`DeviceReport`.
-
-    The document-only form of :func:`simulate_device_runtime`: the
-    machine and platform are released as soon as the telemetry is
-    extracted, so a fleet run holds O(1) simulation state per completed
-    device and the report pickles cleanly across shard workers.
-    """
-    return simulate_device_runtime(
-        spec, bundle, observability=observability, recorder=recorder,
-        sample_rate=sample_rate, collect_traces=collect_traces,
-    ).report
-
-
 # -- shard workers ---------------------------------------------------------
 #
 # Workers are spawned (never forked): the parent ships the provisioned
 # bundle ONCE per worker through the pool initializer, and each task is
-# just (specs, observability) — tiny picklables.  The module global is
-# re-created inside each worker process; it never leaks state between
-# runs because every pool gets its own initializer call.
+# just (specs, sample_rate, collect_traces) — tiny picklables.  The module
+# global is re-created inside each worker process; it never leaks state
+# between runs because every pool gets its own initializer call.
 
 _WORKER_BUNDLE: Any = None
 
@@ -568,16 +542,15 @@ def _init_shard_worker(bundle_blob: bytes) -> None:
 
 def _run_shard(
     specs: list[DeviceSpec],
-    observability: bool,
     sample_rate: int | str = 1,
     collect_traces: bool = False,
 ) -> list[DeviceReport]:
     """Simulate one contiguous roster slice; returns picklable reports."""
     return [
-        simulate_device(
-            spec, _WORKER_BUNDLE, observability=observability,
+        simulate_device_runtime(
+            spec, _WORKER_BUNDLE,
             sample_rate=sample_rate, collect_traces=collect_traces,
-        )
+        ).report
         for spec in specs
     ]
 
@@ -655,7 +628,7 @@ class FleetReport:
     @property
     def degraded(self) -> int:
         """Fail-closed (degraded) utterances across the fleet."""
-        return sum(d.degraded for d in self.devices)
+        return sum(d.summary["degraded"] for d in self.devices)
 
     def to_doc(self) -> dict[str, Any]:
         """JSON document for ``benchmarks/results/fleet.json``."""
@@ -665,8 +638,8 @@ class FleetReport:
             "devices": [d.to_doc() for d in self.devices],
             "fleet": {
                 "devices": len(self.devices),
-                # Summary counts, not len(latencies): a sampled device
-                # keeps 1-in-k latencies but still ran every utterance.
+                # Summary counts: a sampled device's latency histogram
+                # keeps 1-in-k observations but it ran every utterance.
                 "utterances": sum(
                     d.summary["utterances"] for d in self.devices
                 ),
@@ -734,7 +707,6 @@ def run_fleet(
     seed: int = 7,
     utterances: int = 6,
     bundle=None,
-    observability: bool = True,
     chaos: bool = False,
     overload: bool = False,
     client_crashes: bool = False,
@@ -747,9 +719,7 @@ def run_fleet(
 
     One bundle is trained from ``seed`` and shared by every device (the
     fleet ships one model); pass a pre-provisioned ``bundle`` to skip
-    training.  ``observability=False`` disables each device's obs layer —
-    used by the determinism tests to show decisions are byte-identical
-    either way.  ``chaos=True`` injects secure-world faults on every
+    training.  ``chaos=True`` injects secure-world faults on every
     device and runs the TAs supervised.  ``overload=True`` starves every
     device's cloud admission tier so throttling (and, at bounded queue
     depth, fail-closed shedding) actually happens; ``client_crashes=True``
@@ -779,10 +749,10 @@ def run_fleet(
     if shards <= 1:
         for spec in specs:
             report.devices.append(
-                simulate_device(
-                    spec, bundle, observability=observability,
+                simulate_device_runtime(
+                    spec, bundle,
                     sample_rate=sample_rate, collect_traces=collect_traces,
-                )
+                ).report
             )
         return report
 
@@ -802,9 +772,7 @@ def run_fleet(
         initargs=(blob,),
     ) as pool:
         futures = [
-            pool.submit(
-                _run_shard, group, observability, sample_rate, collect_traces
-            )
+            pool.submit(_run_shard, group, sample_rate, collect_traces)
             for group in groups
         ]
         # Collect in submission order (== roster order), regardless of

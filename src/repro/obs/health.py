@@ -2,11 +2,12 @@
 
 This is the alerting tier on top of the metrics registry: declarative
 :class:`SloRule` budgets (latency quantiles, relay success ratios, queue
-depth, battery drain) evaluated by a :class:`HealthMonitor`, a
-:class:`Watchdog` that flags pipelines whose span heartbeats have gone
-quiet, and a bounded :class:`FlightRecorder` ring that preserves the last
-N spans so a firing rule dumps the run-up to the violation as JSONL — the
-in-simulator equivalent of a crash dump attached to a page.
+depth, battery drain) evaluated by a :class:`HealthMonitor`, a span
+watchdog (:func:`check_heartbeats`) that flags pipelines whose span
+heartbeats have gone quiet, and a bounded :class:`FlightRecorder` ring
+that preserves the last N spans so a firing rule dumps the run-up to the
+violation as JSONL — the in-simulator equivalent of a crash dump
+attached to a page.
 
 Beyond point-in-time rule checks, rules that declare an *error budget*
 (``budget_per_hour``) are evaluated as SRE-style multi-window burn rates
@@ -18,7 +19,7 @@ Because the ring merges associatively (see
 merged sharded fleet report is byte-identical to the sequential run.
 
 Like the rest of ``repro.obs``, all of it is passive: rules read the
-registry, the watchdog reads the clock and retained spans, and the
+registry, the watchdog reads span heartbeats and a cycle count, and the
 recorder copies spans the tracer already measured.  Nothing here charges
 cycles or consumes randomness, so health monitoring on or off leaves
 pipeline decisions byte-identical.
@@ -27,6 +28,7 @@ pipeline decisions byte-identical.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -34,8 +36,7 @@ from repro.obs.metrics import MetricsRegistry, RegistrySnapshot
 from repro.sim.clock import DEFAULT_FREQ_HZ
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.span import Span, SpanTracer
-    from repro.sim.clock import SimClock
+    from repro.obs.span import Span
 
 _OPS = ("<=", ">=")
 
@@ -464,10 +465,12 @@ def check_heartbeats(
 ) -> list[WatchdogAlert]:
     """Stalled tracks in a heartbeat map as of cycle ``now``.
 
-    The doc-level form of :meth:`Watchdog.check`: works on a serialized
-    ``{track: last_end_cycle}`` map (e.g. from a fleet device report)
-    instead of a live tracer.  An *empty* map reports the sentinel
-    ``(no spans)`` category so a dead pipeline cannot look healthy.
+    The span watchdog: works on a serialized ``{track: last_end_cycle}``
+    map (:func:`span_heartbeats`, carried by every fleet device report)
+    rather than a live tracer.  A track whose newest span ended more than
+    ``stall_cycles`` before ``now`` is stalled.  An *empty* map reports
+    the sentinel ``(no spans)`` category so a dead pipeline cannot look
+    healthy.
     """
     if stall_cycles <= 0:
         raise ValueError("stall_cycles must be positive")
@@ -478,34 +481,6 @@ def check_heartbeats(
         for track, end in sorted(heartbeats.items())
         if now - end > stall_cycles
     ]
-
-
-class Watchdog:
-    """Flags span categories that stopped producing heartbeats.
-
-    Each retained span of non-zero length counts as a heartbeat for its
-    top-level category (``stage.secure`` beats ``stage``).  A category
-    whose newest span ended more than ``stall_cycles`` before the clock's
-    current cycle is stalled; a tracer with *no* such spans at all
-    reports the sentinel ``(no spans)`` category so a dead pipeline
-    cannot look healthy.
-    """
-
-    def __init__(self, tracer: "SpanTracer", clock: "SimClock",
-                 stall_cycles: int = 10_000_000_000):
-        if stall_cycles <= 0:
-            raise ValueError("stall_cycles must be positive")
-        self._tracer = tracer
-        self._clock = clock
-        self.stall_cycles = stall_cycles
-
-    def check(self) -> list[WatchdogAlert]:
-        """Stalled categories as of the clock's current cycle."""
-        return check_heartbeats(
-            span_heartbeats(self._tracer.spans),
-            self._clock.now,
-            self.stall_cycles,
-        )
 
 
 class FlightRecorder:
@@ -669,9 +644,10 @@ class HealthMonitor:
     """Evaluates SLO rules and triggers the flight recorder.
 
     Wire it with the registry under observation, the rules, and
-    optionally a recorder (for violation dumps) and a watchdog (for
-    stall detection).  :meth:`evaluate` is pure observation and can run
-    at any cadence.
+    optionally a recorder (for violation dumps) and a watchdog: a
+    callable returning the stalled tracks, such as a device report's
+    :meth:`~repro.obs.fleet.DeviceReport.stalled`.  :meth:`evaluate` is
+    pure observation and can run at any cadence.
     """
 
     def __init__(
@@ -679,7 +655,7 @@ class HealthMonitor:
         registry: MetricsRegistry,
         rules: list[SloRule] | None = None,
         recorder: FlightRecorder | None = None,
-        watchdog: Watchdog | None = None,
+        watchdog: Callable[[], list[WatchdogAlert]] | None = None,
     ):
         self.registry = registry
         self.rules = list(rules) if rules is not None else default_slo_rules()
@@ -719,7 +695,7 @@ class HealthMonitor:
                 factor=burn_factor,
             )
         if self.watchdog is not None:
-            report.stalled = self.watchdog.check()
+            report.stalled = self.watchdog()
         if not report.ok and self.recorder is not None:
             report.offending_trace = self.recorder.offending_trace()
             narrowed = (

@@ -27,21 +27,25 @@ Two fleet-scale additions ride on the bucket machinery:
   unsampled stream (systematic sampling; weights ride the ordinary
   bucket counts, so ``merge``/``to_doc`` need no special cases).
 * **Snapshot ring** — :meth:`MetricsRegistry.record_snapshot` appends a
-  compact cumulative :class:`RegistrySnapshot` (counters + histogram
-  bucket state, no raw samples) at a simulated cycle, giving the health
-  tier a *windowed* time series: burn-rate SLOs compute from snapshot
-  deltas rather than lifetime totals.  Rings merge index-aligned
-  (associative and commutative, like the histograms), so a merged fleet
-  registry carries a fleet-wide snapshot timeline that is byte-identical
-  whether devices were folded sequentially or across shards.
+  compact cumulative :class:`RegistrySnapshot` of the ``fleet.*``
+  metrics (counters + histogram bucket state, no raw samples) at a
+  simulated cycle, giving the health tier a *windowed* time series:
+  burn-rate SLOs compute from snapshot deltas rather than lifetime
+  totals.  Rings merge index-aligned (associative and commutative, like
+  the histograms), so a merged fleet registry carries a fleet-wide
+  snapshot timeline that is byte-identical whether devices were folded
+  sequentially or across shards.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
+
+# The namespace MetricsRegistry.record_snapshot captures.
+_SNAPSHOT_PREFIX = "fleet."
 
 
 @dataclass
@@ -238,10 +242,6 @@ class BucketHistogram:
                 return min(estimate, self.max or estimate)
         return float(self.max or 0.0)
 
-    def percentile(self, p: float) -> float:
-        """The ``p``-th percentile (0..100); see :meth:`quantile`."""
-        return self.quantile(p / 100.0)
-
     @property
     def p50(self) -> float:
         """Median."""
@@ -257,24 +257,10 @@ class BucketHistogram:
         """99th percentile."""
         return self.quantile(0.99)
 
-    def summary(self) -> dict[str, Any]:
-        """Flat dict for reports; ``exact`` flags sample-backed quantiles."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "mean": self.mean,
-            "min": self.min or 0,
-            "max": self.max or 0,
-            "p50": self.p50,
-            "p95": self.p95,
-            "p99": self.p99,
-            "exact": self.exact,
-        }
-
-    # -- (de)serialization -------------------------------------------------------
+    # -- serialization -----------------------------------------------------------
 
     def to_doc(self) -> dict[str, Any]:
-        """JSON-ready state (inverse of :meth:`from_doc`)."""
+        """JSON-ready state: buckets plus any retained raw samples."""
         return {
             "name": self.name,
             "gamma": self.gamma,
@@ -287,27 +273,6 @@ class BucketHistogram:
             "buckets": {str(i): n for i, n in sorted(self._buckets.items())},
             "samples": self._samples,
         }
-
-    @staticmethod
-    def from_doc(doc: dict[str, Any]) -> "BucketHistogram":
-        """Rebuild a histogram from its :meth:`to_doc` form."""
-        h = BucketHistogram(
-            str(doc["name"]), gamma=float(doc["gamma"]),
-            max_samples=int(doc["max_samples"]),
-        )
-        h.count = int(doc["count"])
-        h.total = doc["total"]
-        h.min = doc["min"]
-        h.max = doc["max"]
-        h._zero = int(doc["zero"])
-        h._buckets = {int(i): int(n) for i, n in doc["buckets"].items()}
-        samples = doc.get("samples")
-        # Re-sort defensively: quantiles assume the invariant even if the
-        # doc was produced or edited elsewhere.
-        h._samples = None if samples is None else sorted(
-            float(v) for v in samples
-        )
-        return h
 
 
 @dataclass(frozen=True)
@@ -382,7 +347,7 @@ class RegistrySnapshot:
         )
 
     def to_doc(self) -> dict[str, Any]:
-        """JSON-ready form (inverse of :meth:`from_doc`)."""
+        """JSON-ready form."""
         return {
             "cycle": self.cycle,
             "counters": dict(sorted(self.counters.items())),
@@ -398,26 +363,6 @@ class RegistrySnapshot:
                 for name, state in sorted(self.hists.items())
             },
         }
-
-    @staticmethod
-    def from_doc(doc: dict[str, Any]) -> "RegistrySnapshot":
-        """Rebuild a snapshot from its :meth:`to_doc` form."""
-        return RegistrySnapshot(
-            cycle=int(doc["cycle"]),
-            counters={n: int(v) for n, v in doc.get("counters", {}).items()},
-            hists={
-                name: {
-                    "gamma": float(state["gamma"]),
-                    "count": int(state["count"]),
-                    "zero": int(state["zero"]),
-                    "buckets": {
-                        int(i): int(n)
-                        for i, n in state.get("buckets", {}).items()
-                    },
-                }
-                for name, state in doc.get("hists", {}).items()
-            },
-        )
 
 
 def _copy_hist_state(state: dict[str, Any]) -> dict[str, Any]:
@@ -549,23 +494,24 @@ class MetricsRegistry:
 
     # -- windowed snapshots (burn-rate time series) ------------------------------
 
-    def record_snapshot(
-        self, cycle: int, prefixes: tuple[str, ...] = ("fleet.", "tee.")
-    ) -> None:
-        """Append the cumulative state at ``cycle`` to the snapshot ring.
+    def record_snapshot(self, cycle: int) -> None:
+        """Append the cumulative ``fleet.*`` state at ``cycle`` to the ring.
 
-        Only metrics under ``prefixes`` are captured (the SLO namespaces
-        by default) so snapshots stay small enough to take per utterance.
-        Histograms are captured as bucket state without retained samples.
-        The ring is bounded by ``snapshot_capacity`` (oldest dropped);
-        no-op while the registry is disabled.
+        Only ``fleet.*`` metrics are captured: the fleet runner replays
+        them utterance by utterance as it stamps the ring, so each
+        snapshot holds their state at that point of the run.  Metrics
+        recorded live during the run (``tee.*``, ``cloud.*``) are already
+        final by then and would only add entries whose window deltas are
+        zero.  Histograms are captured as bucket state without retained
+        samples.  The ring is bounded by ``snapshot_capacity`` (oldest
+        dropped); no-op while the registry is disabled.
         """
         if not self.enabled:
             return
         counters = {
             name: c.value
             for name, c in sorted(self._counters.items())
-            if name.startswith(prefixes)
+            if name.startswith(_SNAPSHOT_PREFIX)
         }
         hists = {
             name: {
@@ -575,7 +521,7 @@ class MetricsRegistry:
                 "buckets": dict(h._buckets),
             }
             for name, h in sorted(self._histograms.items())
-            if name.startswith(prefixes)
+            if name.startswith(_SNAPSHOT_PREFIX)
         }
         self._snapshots.append(
             RegistrySnapshot(cycle=int(cycle), counters=counters, hists=hists)
@@ -640,24 +586,12 @@ class MetricsRegistry:
             self._snapshots, other._snapshots
         )
 
-    def snapshot(self) -> dict[str, Any]:
-        """Everything, as a JSON-ready dict."""
-        return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: h.summary() for n, h in sorted(self._histograms.items())
-            },
-        }
-
     def to_doc(self) -> dict[str, Any]:
-        """Full-fidelity JSON state (inverse of :meth:`from_doc`).
+        """Full-fidelity JSON state of every metric and the snapshot ring.
 
-        Unlike :meth:`snapshot` (which summarizes histograms), this
-        round-trips losslessly: histograms keep their buckets and retained
-        samples, so ``from_doc(to_doc())`` merges identically to the
-        original registry.  This is what lets shard workers hand whole
-        registries back as documents.
+        Histograms keep their buckets and retained samples, so two
+        registries with equal documents merge identically.  Shard workers
+        do not use it: they pickle their reports, registries included.
         """
         return {
             "counters": {n: c.value for n, c in sorted(self._counters.items())},
@@ -667,26 +601,3 @@ class MetricsRegistry:
             },
             "snapshots": [s.to_doc() for s in self._snapshots],
         }
-
-    @staticmethod
-    def from_doc(doc: dict[str, Any]) -> "MetricsRegistry":
-        """Rebuild a registry from its :meth:`to_doc` form."""
-        reg = MetricsRegistry()
-        for name, value in doc.get("counters", {}).items():
-            reg.counter(name).inc(int(value))
-        for name, value in doc.get("gauges", {}).items():
-            reg.gauge(name).set(float(value))
-        for name, hdoc in doc.get("histograms", {}).items():
-            reg._histograms[name] = BucketHistogram.from_doc(hdoc)
-        reg._snapshots = [
-            RegistrySnapshot.from_doc(s) for s in doc.get("snapshots", [])
-        ]
-        return reg
-
-    def reset(self) -> None:
-        """Drop every metric (a fresh namespace)."""
-        self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
-        self._sample_seen.clear()
-        self._snapshots.clear()

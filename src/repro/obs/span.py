@@ -22,9 +22,10 @@ with tracing enabled or disabled.  The TA-side stage accounting
 *retention* is disabled; disabling only stops the tracer from keeping
 spans and events and from feeding metrics.
 
-Exports: JSON Lines (round-trippable via :meth:`SpanTracer.from_jsonl`)
-and the Chrome ``trace_event`` format (load in ``chrome://tracing`` /
-Perfetto) via :meth:`SpanTracer.to_chrome_trace`.
+Exports: JSON Lines (:meth:`SpanTracer.to_jsonl`, one
+:meth:`Span.to_doc` per line, as ``repro trace`` prints them) and the
+Chrome ``trace_event`` format (load in ``chrome://tracing`` / Perfetto)
+via :meth:`SpanTracer.to_chrome_trace`.
 """
 
 from __future__ import annotations
@@ -71,8 +72,8 @@ class Span:
         """The correlated trace this span belongs to ('' when unstamped).
 
         Trace ids ride the ordinary ``attrs`` bag (key ``trace_id``) so
-        stamped spans round-trip through every existing export without a
-        schema change.
+        stamped spans go through every existing export without a schema
+        change.
         """
         return str(self.attrs.get("trace_id", "") or "")
 
@@ -83,7 +84,7 @@ class Span:
         )
 
     def to_doc(self) -> dict[str, Any]:
-        """JSON-ready representation (inverse of :meth:`from_doc`)."""
+        """JSON-ready representation (domains keyed by their value)."""
         return {
             "id": self.id,
             "parent": self.parent_id,
@@ -96,25 +97,6 @@ class Span:
             "energy_mj": self.energy_mj,
             "attrs": self.attrs,
         }
-
-    @staticmethod
-    def from_doc(doc: dict[str, Any]) -> "Span":
-        """Rebuild a span from its :meth:`to_doc` form."""
-        return Span(
-            id=int(doc["id"]),
-            parent_id=None if doc.get("parent") is None else int(doc["parent"]),
-            name=str(doc["name"]),
-            category=str(doc["category"]),
-            start_cycle=int(doc["start"]),
-            end_cycle=int(doc["end"]),
-            domain_cycles={
-                CycleDomain(k): int(v)
-                for k, v in dict(doc.get("domains", {})).items()
-            },
-            world_switches=int(doc.get("switches", 0)),
-            energy_mj=float(doc.get("energy_mj", 0.0)),
-            attrs=dict(doc.get("attrs", {})),
-        )
 
 
 class _ActiveSpan:
@@ -271,10 +253,6 @@ class SpanTracer:
             return list(self.spans)
         return [s for s in self.spans if s.matches(category_prefix)]
 
-    def spans_for_trace(self, trace_id: str) -> list[Span]:
-        """Retained spans stamped with ``trace_id``, in close order."""
-        return [s for s in self.spans if s.trace_id == trace_id]
-
     def clear(self) -> None:
         """Drop retained spans (open spans and ids are unaffected)."""
         self.spans.clear()
@@ -283,24 +261,13 @@ class SpanTracer:
     # -- export ------------------------------------------------------------------
 
     def to_jsonl(self, category_prefix: str | None = None) -> str:
-        """Spans as JSON Lines; inverse of :meth:`from_jsonl`."""
+        """Spans as JSON Lines, one :meth:`Span.to_doc` per line."""
         import json
 
         return "\n".join(
             json.dumps(s.to_doc(), default=str)
             for s in self.spans_in(category_prefix)
         )
-
-    @staticmethod
-    def from_jsonl(text: str) -> list[Span]:
-        """Parse a JSONL export back into spans."""
-        import json
-
-        return [
-            Span.from_doc(json.loads(line))
-            for line in text.splitlines()
-            if line.strip()
-        ]
 
     def to_chrome_trace(self, category_prefix: str | None = None) -> str:
         """Spans as Chrome ``trace_event`` JSON (complete/'X' events).

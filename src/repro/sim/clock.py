@@ -119,14 +119,6 @@ class SimClock:
         """Total cycles charged to ``domain`` so far."""
         return self._per_domain.get(domain, 0)
 
-    def seconds_in(self, domain: CycleDomain) -> float:
-        """Total simulated seconds spent in ``domain`` so far."""
-        return self.cycles_in(domain) / self.freq_hz
-
-    def to_seconds(self, cycles: int) -> float:
-        """Convert a cycle count to seconds at the configured frequency."""
-        return cycles / self.freq_hz
-
     def cycles_to_ms(self, cycles: float) -> float:
         """Convert a cycle count to milliseconds at the configured frequency."""
         return cycles_to_ms(cycles, self.freq_hz)
@@ -146,8 +138,3 @@ class SimClock:
         """Remove a previously registered listener (no-op if absent)."""
         if listener in self._listeners:
             self._listeners.remove(listener)
-
-    def reset(self) -> None:
-        """Zero the clock and all per-domain counters (listeners kept)."""
-        self._now = 0
-        self._per_domain.clear()

@@ -1,5 +1,7 @@
 """Tests: per-category leak analysis, event export, model-store properties."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -47,10 +49,10 @@ class TestTraceExport:
         tracer.emit("tz.gic", "configure", line=32)
         tracer.emit("optee.os", "boot")
         text = tracer.to_jsonl()
-        events = SpanTracer.from_jsonl(text)
-        assert len(events) == 2
-        assert events[0].category == "tz.gic"
-        assert events[0].attrs == {"line": 32}
+        events = [json.loads(line) for line in text.splitlines()]
+        assert events == [sp.to_doc() for sp in tracer.spans]
+        assert events[0]["category"] == "tz.gic"
+        assert events[0]["attrs"] == {"line": 32}
 
     def test_filtered_export(self):
         tracer = SpanTracer(SimClock())
@@ -61,13 +63,13 @@ class TestTraceExport:
 
     def test_empty_log(self):
         assert SpanTracer(SimClock()).to_jsonl() == ""
-        assert SpanTracer.from_jsonl("") == []
 
     def test_non_json_data_coerced(self):
         tracer = SpanTracer(SimClock())
         tracer.emit("c", "e", obj=object())
-        events = SpanTracer.from_jsonl(tracer.to_jsonl())
-        assert isinstance(events[0].attrs["obj"], str)
+        (line,) = tracer.to_jsonl().splitlines()
+        event = json.loads(line)
+        assert isinstance(event["attrs"]["obj"], str)
 
 
 class TestModelStoreProperties:

@@ -3,8 +3,8 @@
 The three data-model contracts behind ``repro health --burn-rate`` and
 ``repro fleet --sample-rate``:
 
-* the registry's snapshot ring — prefix-filtered cumulative state per
-  cycle stamp — survives doc round trips and merges associatively and
+* the registry's snapshot ring — cumulative ``fleet.*`` state per cycle
+  stamp — survives the pickled shard hop and merges associatively and
   commutatively, so a sharded fleet's burn rates are byte-identical to
   the sequential run's;
 * multi-window burn-rate evaluation: bad-event extraction per rule
@@ -18,6 +18,7 @@ The three data-model contracts behind ``repro health --burn-rate`` and
 
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,7 +32,6 @@ from repro.obs.health import (
 from repro.obs.metrics import (
     BucketHistogram,
     MetricsRegistry,
-    RegistrySnapshot,
     merge_snapshot_rings,
 )
 
@@ -50,6 +50,8 @@ class TestSnapshotRing:
         reg.inc("fleet.utterances", 2)
         reg.observe("fleet.e2e_latency_cycles", 100.0)
         reg.inc("pipeline.stage.calls", 9)  # not a snapshot prefix
+        reg.inc("tee.checkpoints", 6)  # recorded live, not replayed
+        reg.observe("tee.recovery_cycles", 5.0)
         reg.record_snapshot(1000)
         (snap,) = reg.snapshots
         assert snap.cycle == 1000
@@ -59,11 +61,15 @@ class TestSnapshotRing:
     def test_doc_round_trip(self):
         reg = MetricsRegistry()
         reg.inc("fleet.utterances", 3)
-        reg.observe("tee.restart_cycles", 5.0)
+        reg.observe("fleet.restart_cycles", 5.0)
         reg.record_snapshot(77)
         (snap,) = reg.snapshots
-        back = RegistrySnapshot.from_doc(snap.to_doc())
-        assert back.to_doc() == snap.to_doc()
+        doc = snap.to_doc()
+        # JSON-ready: bucket indices are string keys, so the document
+        # survives JSON unchanged.
+        assert json.loads(json.dumps(doc)) == doc
+        assert doc["counters"] == {"fleet.utterances": 3}
+        assert doc["hists"]["fleet.restart_cycles"]["count"] == 1
 
     def test_delta_is_pointwise_and_clamped(self):
         reg = MetricsRegistry()
@@ -103,7 +109,11 @@ class TestSnapshotRing:
         reg = MetricsRegistry()
         reg.inc("fleet.utterances", 1)
         reg.record_snapshot(5)
-        back = MetricsRegistry.from_doc(reg.to_doc())
+        assert reg.to_doc()["snapshots"] == [
+            s.to_doc() for s in reg.snapshots
+        ]
+        # Shard workers ship registries pickled; the ring rides along.
+        back = pickle.loads(pickle.dumps(reg))
         assert ring_doc(back) == ring_doc(reg)
 
 
@@ -233,14 +243,14 @@ class TestBurnRates:
                                 freq_hz=FREQ)
 
     def test_quantile_rule_counts_over_threshold_observations(self):
-        rule = SloRule(name="p99_latency", metric="lat", op="<=",
+        rule = SloRule(name="p99_latency", metric="fleet.lat", op="<=",
                        threshold=100.0, quantile=0.99, budget_per_hour=5.0)
         reg = MetricsRegistry()
         cycle = 0
         for value in [10.0, 10.0, 5000.0, 10.0, 5000.0, 5000.0]:
-            reg.observe("lat", value)
+            reg.observe("fleet.lat", value)
             cycle += int(90 * FREQ)
-            reg.record_snapshot(cycle, prefixes=("lat",))
+            reg.record_snapshot(cycle)
         (burn,) = evaluate_burn_rates(reg, [rule], window_hours=1.0,
                                       freq_hz=FREQ)
         assert burn.bad_slow == 3
@@ -255,11 +265,37 @@ class TestBurnRates:
         def fold(order):
             merged = MetricsRegistry()
             for reg in order:
-                merged.merge(MetricsRegistry.from_doc(reg.to_doc()))
+                merged.merge(pickle.loads(pickle.dumps(reg)))
             burns = evaluate_burn_rates(merged, [_ratio_rule()],
                                         window_hours=0.5, freq_hz=FREQ)
             return json.dumps([b.to_doc() for b in burns], sort_keys=True)
         assert fold(devices) == fold(list(reversed(devices)))
+
+
+class TestFleetRing:
+    """Regression: the fleet runner stamps the ring after the run, so
+    live-recorded ``tee.*`` metrics sat in every snapshot at their final
+    values — every window's delta was 0 and a budgeted ``tee.*`` rule
+    could never fire.  The ring now holds only the replayed ``fleet.*``
+    metrics, and such a rule reports NO DATA instead of a silent zero."""
+
+    def test_chaos_fleet_ring_holds_only_fleet_metrics(self, provisioned):
+        from repro.obs.fleet import run_fleet
+
+        report = run_fleet(devices=2, seed=9, utterances=6, chaos=True,
+                           bundle=provisioned.bundle)
+        for device in report.devices:
+            reg = device.registry
+            assert reg.counters("tee.checkpoints")  # recorded live
+            assert len(reg.snapshots) == device.summary["utterances"]
+            for snap in reg.snapshots:
+                names = [*snap.counters, *snap.hists]
+                assert names and all(n.startswith("fleet.") for n in names)
+        rule = SloRule(name="checkpoints", metric="tee.checkpoints",
+                       op="<=", threshold=0.0, budget_per_hour=1.0)
+        (burn,) = evaluate_burn_rates(report.merged_registry(), [rule],
+                                      window_hours=1.0)
+        assert burn.no_data and not burn.firing
 
 
 class TestWeightedSampling:

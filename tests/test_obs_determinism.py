@@ -14,14 +14,19 @@ from repro.core.pipeline import SecurePipeline
 from repro.core.platform import IotPlatform
 from repro.core.workload import UtteranceWorkload
 from repro.ml.dataset import UtteranceGenerator
+from repro.obs.health import FlightRecorder, HealthMonitor
+from repro.sim.faults import FaultConfig
 from repro.sim.rng import SimRng
 
 
 def _decision_bytes(provisioned, disable_obs: bool,
-                    continuous: bool = False) -> bytes:
-    platform = IotPlatform.create(seed=177)
+                    continuous: bool = False, network_faults=None,
+                    recorder=None, evaluate_health: bool = False) -> bytes:
+    platform = IotPlatform.create(seed=177, network_faults=network_faults)
     if disable_obs:
         platform.machine.obs.disable()
+    if recorder is not None:
+        platform.machine.obs.attach_recorder(recorder)
     pipeline = SecurePipeline(platform, provisioned.bundle)
     corpus = UtteranceGenerator(SimRng(177, "obs-det")).generate(
         6, sensitive_fraction=0.5
@@ -36,6 +41,9 @@ def _decision_bytes(provisioned, disable_obs: bool,
             run = pipeline.process(workload)
     finally:
         pipeline.close()
+    if evaluate_health:
+        HealthMonitor(platform.machine.obs.metrics,
+                      recorder=recorder).evaluate()
     doc = {
         "results": [
             {
@@ -73,6 +81,23 @@ class TestObsIsPassive:
                                   continuous=True)
         disabled = _decision_bytes(provisioned, disable_obs=True,
                                    continuous=True)
+        assert enabled == disabled
+
+    def test_lossy_link_with_recorder_and_health_byte_identical(
+        self, provisioned
+    ):
+        """A lossy link, a flight recorder attached on both sides, and
+        health evaluated on the enabled side before the final state is
+        read: decisions stay byte-identical."""
+        faults = FaultConfig.send_failure(0.3)
+        enabled = _decision_bytes(
+            provisioned, disable_obs=False, network_faults=faults,
+            recorder=FlightRecorder(capacity=32), evaluate_health=True,
+        )
+        disabled = _decision_bytes(
+            provisioned, disable_obs=True, network_faults=faults,
+            recorder=FlightRecorder(capacity=32),
+        )
         assert enabled == disabled
 
     def test_disabled_run_retains_nothing(self, provisioned):

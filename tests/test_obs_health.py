@@ -14,8 +14,9 @@ from repro.obs.health import (
     FlightRecorder,
     HealthMonitor,
     SloRule,
-    Watchdog,
+    check_heartbeats,
     default_slo_rules,
+    span_heartbeats,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import SpanTracer
@@ -82,10 +83,9 @@ class TestSloRule:
                 threshold=1).evaluate(reg)
         SloRule("r", metric="ghost.n", denominator="ghost.d", op=">=",
                 threshold=0.9).evaluate(reg)
-        snap = reg.snapshot()
-        assert snap["counters"] == {}
-        assert snap["gauges"] == {}
-        assert snap["histograms"] == {}
+        assert reg.counters() == {}
+        assert reg.gauges() == {}
+        assert reg.histograms() == {}
 
     def test_battery_drain_rule_is_histogram_backed(self):
         # An intensive gauge would sum to devices-times the true value
@@ -144,26 +144,27 @@ class TestWatchdog:
     def test_fresh_heartbeat_is_quiet(self):
         clock = SimClock()
         tracer = self._tracer_with_span(clock)
-        assert Watchdog(tracer, clock, stall_cycles=1_000).check() == []
+        beats = span_heartbeats(tracer.spans)
+        assert check_heartbeats(beats, clock.now, stall_cycles=1_000) == []
 
     def test_stalled_category_flagged(self):
         clock = SimClock()
         tracer = self._tracer_with_span(clock)
         clock.advance(5_000, CycleDomain.NORMAL_CPU)
-        alerts = Watchdog(tracer, clock, stall_cycles=1_000).check()
+        beats = span_heartbeats(tracer.spans)
+        alerts = check_heartbeats(beats, clock.now, stall_cycles=1_000)
         assert [a.category for a in alerts] == ["stage"]
         assert alerts[0].idle_cycles == 5_000
         assert alerts[0].last_seen_cycle == 100
 
     def test_empty_tracer_reports_sentinel(self):
-        clock = SimClock()
-        alerts = Watchdog(SpanTracer(clock), clock).check()
+        alerts = check_heartbeats({}, 700)
         assert [a.category for a in alerts] == ["(no spans)"]
+        assert alerts[0].idle_cycles == 700
 
     def test_nonpositive_stall_rejected(self):
-        clock = SimClock()
         with pytest.raises(ValueError):
-            Watchdog(SpanTracer(clock), clock, stall_cycles=0)
+            check_heartbeats({}, 0, stall_cycles=0)
 
 
 class TestFlightRecorder:
@@ -258,7 +259,10 @@ class TestHealthMonitor:
         clock = SimClock()
         tracer = SpanTracer(clock)
         report = HealthMonitor(
-            MetricsRegistry(), rules=[], watchdog=Watchdog(tracer, clock)
+            MetricsRegistry(), rules=[],
+            watchdog=lambda: check_heartbeats(
+                span_heartbeats(tracer.spans), clock.now
+            ),
         ).evaluate()
         assert not report.ok
         assert "STALLED" in report.table()
@@ -285,9 +289,7 @@ class TestAcceptanceFlightRecorderOnSloViolation:
             device.registry,
             rules=default_slo_rules(latency_budget_cycles=1.0),
             recorder=rec,
-            watchdog=Watchdog(
-                runtime.machine.obs.tracer, runtime.machine.clock
-            ),
+            watchdog=device.stalled,
         )
         dump = tmp_path / "flight.jsonl"
         report = monitor.evaluate(dump_path=dump)

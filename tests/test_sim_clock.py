@@ -58,15 +58,6 @@ class TestSeconds:
         clock.advance(2_000_000_000, CycleDomain.NORMAL_CPU)
         assert clock.now_seconds == pytest.approx(2.0)
 
-    def test_to_seconds(self):
-        clock = SimClock(freq_hz=2e9)
-        assert clock.to_seconds(1_000_000) == pytest.approx(0.0005)
-
-    def test_seconds_in_domain(self):
-        clock = SimClock(freq_hz=1e9)
-        clock.advance(500_000_000, CycleDomain.SECURE_CPU)
-        assert clock.seconds_in(CycleDomain.SECURE_CPU) == pytest.approx(0.5)
-
 
 class TestSnapshot:
     def test_snapshot_delta(self):
@@ -109,23 +100,6 @@ class TestListeners:
 
     def test_unsubscribe_unknown_is_noop(self):
         SimClock().unsubscribe(lambda d, c: None)
-
-
-class TestReset:
-    def test_reset_zeroes_everything(self):
-        clock = SimClock()
-        clock.advance(99, CycleDomain.NORMAL_CPU)
-        clock.reset()
-        assert clock.now == 0
-        assert clock.cycles_in(CycleDomain.NORMAL_CPU) == 0
-
-    def test_reset_keeps_listeners(self):
-        clock = SimClock()
-        seen = []
-        clock.subscribe(lambda d, c: seen.append(c))
-        clock.reset()
-        clock.advance(3, CycleDomain.DMA)
-        assert seen == [3]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=50))
