@@ -23,6 +23,7 @@ assert transcripts never appear there in the clear).
 from __future__ import annotations
 
 import json
+import operator
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -53,16 +54,27 @@ def _nonce(seq: int) -> bytes:
     return seq.to_bytes(12, "little")
 
 
+#: What reading a field of a decoded message raises when the field is
+#: missing or of the wrong type or format; the readers below turn these
+#: into the protocol's own errors.
+_MALFORMED_FIELD = (KeyError, TypeError, ValueError)
+
+
 def _parse_wire(data: bytes) -> dict:
     """Decode one wire message; corruption anywhere becomes RecordError.
 
     The network is untrusted and may hand back arbitrary bytes — a flipped
     bit must surface as a catchable protocol error, never as a stray
-    ``UnicodeDecodeError`` escaping into the caller.
+    ``UnicodeDecodeError`` escaping into the caller.  Valid JSON with
+    missing or malformed fields is rejected by the message's reader
+    (:class:`HandshakeError` for hellos, :class:`RecordError` for records).
     """
     try:
         msg = json.loads(data.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers undecodable bytes, invalid JSON and integer
+        # literals past the interpreter's digit limit; RecursionError,
+        # arrays nested too deep for the decoder.
         raise RecordError(f"malformed TLS message: {exc}") from exc
     if not isinstance(msg, dict):
         raise RecordError("malformed TLS message: not an object")
@@ -97,8 +109,11 @@ class TlsServer:
         raise RecordError(f"unknown TLS message type {kind!r}")
 
     def _server_hello(self, msg: dict) -> bytes:
-        client_pub = int(msg["public"], 16)
-        client_nonce = bytes.fromhex(msg["nonce"])
+        try:
+            client_pub = int(msg["public"], 16)
+            client_nonce = bytes.fromhex(msg["nonce"])
+        except _MALFORMED_FIELD as exc:
+            raise HandshakeError(f"malformed client hello: {exc}") from exc
         ephemeral = DhKeyPair.generate(self._rng.fork(f"eph{msg['nonce']}").bytes(32))
         server_nonce = self._rng.bytes(16)
         # Bind both the ephemeral DH and the static identity.
@@ -139,12 +154,15 @@ class TlsServer:
         if self._conn is None:
             raise HandshakeError("record before handshake")
         conn = self._conn
-        seq = int(msg["seq"])
+        try:
+            seq = operator.index(msg["seq"])
+            sealed = bytes.fromhex(msg["payload"])
+        except _MALFORMED_FIELD as exc:
+            raise RecordError(f"malformed record: {exc}") from exc
         if seq != conn["recv_seq"]:
             raise RecordError(
                 f"bad record sequence: got {seq}, want {conn['recv_seq']}"
             )
-        sealed = bytes.fromhex(msg["payload"])
         plaintext = conn["recv"].open(_nonce(seq), sealed)
         conn["recv_seq"] += 1
         reply = conn["app_handler"](plaintext)
@@ -224,7 +242,8 @@ class TlsClient:
         try:
             server_pub = int(reply["public"], 16)
             server_nonce = bytes.fromhex(reply["nonce"])
-        except (KeyError, ValueError) as exc:
+            finished = reply["finished"]
+        except _MALFORMED_FIELD as exc:
             raise HandshakeError(f"malformed server hello: {exc}") from exc
         pinned_pub_int = int.from_bytes(self._pinned, "big")
         shared = ephemeral.shared_secret(server_pub) + ephemeral.shared_secret(
@@ -234,7 +253,7 @@ class TlsClient:
         expect = hmac_sha256(
             keys["finished"], b"server" + client_nonce + server_nonce
         )
-        if expect.hex() != reply["finished"]:
+        if expect.hex() != finished:
             raise HandshakeError("server finished MAC mismatch (MITM?)")
         self._send = StreamAead(keys["client_traffic"])
         self._recv = StreamAead(keys["server_traffic"])
@@ -257,9 +276,9 @@ class TlsClient:
         if reply.get("type") != "record":
             raise RecordError(f"unexpected reply {reply.get('type')!r}")
         try:
-            rseq = int(reply["seq"])
+            rseq = operator.index(reply["seq"])
             sealed_reply = bytes.fromhex(reply["payload"])
-        except (KeyError, ValueError) as exc:
+        except _MALFORMED_FIELD as exc:
             raise RecordError(f"malformed record: {exc}") from exc
         if rseq != self._recv_seq:
             raise RecordError(f"bad reply sequence {rseq}, want {self._recv_seq}")

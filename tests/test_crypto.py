@@ -1,10 +1,20 @@
 """Unit + property tests: KDF, AEAD, DH."""
 
+import hashlib
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aead import StreamAead
-from repro.crypto.dh import MODP_GROUP_14, DhKeyPair
+from repro.crypto.dh import (
+    GENERATOR,
+    MODP_GROUP_14,
+    TABLE_BITS,
+    DhKeyPair,
+    generator_pow,
+)
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract, hmac_sha256
 from repro.errors import AuthenticationFailure, CryptoError
 
@@ -131,3 +141,45 @@ class TestDh:
 
     def test_public_bytes_length(self):
         assert len(DhKeyPair.generate(b"x" * 32).public_bytes()) == 256
+
+    @pytest.mark.parametrize("random_bytes, digest", [
+        (b"a" * 32,
+         "7c69daaf13b70cad5655428b17402b94886f0b39ee39f55590a2b0a1c044aa25"),
+        (b"\xff" * 32,
+         "e82814d8a07df00b182b9e24ffb93abf4ce4003b6619f4963c1b7fa531600246"),
+        (bytes(range(64)),
+         "d6a1173dcf2b8bf6b231ef631e8c8bc5bce924de2a1752ca2f0152019852b78d"),
+    ])
+    def test_public_bytes_pinned(self, random_bytes, digest):
+        """Golden keys: how ``public`` is computed must never move a byte."""
+        public = DhKeyPair.generate(random_bytes).public_bytes()
+        assert hashlib.sha256(public).hexdigest() == digest
+
+    @given(st.binary(min_size=32, max_size=300))
+    @settings(max_examples=40, deadline=None)
+    def test_public_is_generator_power(self, random_bytes):
+        """``public == g^private mod p``; inputs past 32 bytes give
+        exponents wider than 257 bits."""
+        kp = DhKeyPair.generate(random_bytes)
+        assert kp.public == pow(GENERATOR, kp.private, MODP_GROUP_14)
+
+
+class TestGeneratorTable:
+    def test_every_bit_length_matches_pow(self):
+        """Each width from 0 to past the table (the ``pow`` fallback), with
+        the lowest, highest and a mixed exponent of that width."""
+        exponents = {0, 1, 2, 3, (1 << 256) + 1}
+        for bits in range(1, TABLE_BITS + 9):
+            top = 1 << (bits - 1)
+            exponents |= {top, (top << 1) - 1, top | (0x5A5A5A5A5 % top)}
+        for exponent in sorted(exponents):
+            assert generator_pow(exponent) == pow(
+                GENERATOR, exponent, MODP_GROUP_14
+            ), exponent.bit_length()
+
+    def test_import_builds_no_table(self):
+        code = (
+            "import repro, repro.crypto.dh as dh; "
+            "assert dh._generator_table.cache_info().currsize == 0"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True)

@@ -1,5 +1,7 @@
 """Fault-tolerant relay: injection, retry/backoff, store-and-forward."""
 
+import json
+
 import pytest
 
 from repro.core.pipeline import SecurePipeline
@@ -224,6 +226,27 @@ class TestRetryPath:
         assert result.relay_attempts == 2
         assert platform.cloud.received_transcripts.count(result.payload) == 1
         assert platform.cloud.duplicates_suppressed == 1
+
+    def test_malformed_server_hello_costs_one_retry(self, provisioned):
+        """A server hello without ``finished`` is a handshake failure the
+        relay retries, not an exception that panics the TA."""
+
+        class StripFinished(ScriptedFaults):
+            def corrupt(self, payload):
+                hello = json.loads(payload)
+                del hello["finished"]
+                return json.dumps(hello).encode()
+
+        platform, pipeline = self._pipeline(provisioned, seed=405)
+        workload = make_workload(provisioned, BENIGN[:1])
+        platform.supplicant.net.set_fault_injector(StripFinished(["corrupt"]))
+        result = pipeline.process_item(workload.items[0])
+        metrics = platform.machine.obs.metrics
+        assert metrics.counter("relay.retries").value == 1
+        assert metrics.counter("tee.panics").value == 0
+        assert result.relay_status == "sent"
+        assert result.relay_attempts == 2
+        assert platform.cloud.received_transcripts.count(result.payload) == 1
 
     def test_retry_events_traced(self, provisioned):
         platform, pipeline = self._pipeline(provisioned, seed=404)
