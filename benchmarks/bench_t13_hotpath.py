@@ -150,7 +150,13 @@ def test_t13_hotpath(benchmark):
     benchmark.pedantic(driver_v.read_chunk, rounds=1, iterations=1)
 
     # The refactor's acceptance bar: >=3x frames/sec on the capture path,
-    # cheaper simulated CPU per chunk, full-period USB reads.
+    # cheaper simulated CPU per chunk, full-period USB reads.  The
+    # frames/sec floor sits far below local runs (300k–600k) so shared CI
+    # runners cannot flake it; the speedup ratio is the load-bearing bound.
     assert speedup >= 3.0, f"capture speedup {speedup:.2f}x < 3x"
+    assert vector_fps >= 50_000, \
+        f"vectorized capture {vector_fps:.0f} frames/sec < 50000"
+    assert switches_per_frame_block <= 0.5, \
+        f"{switches_per_frame_block:.2f} camera world switches/frame > 0.5"
     assert vector_cpu < scalar_cpu
     assert usb_frames == CHUNK * 8

@@ -12,9 +12,8 @@ Quantifies what the sharded fleet runner buys and guards its contract:
   machine graph), since O(devices) memory is what capped fleet scale
   before this refactor.
 
-The devices/sec headline lands in ``extra_info`` and is gated in CI
-against ``benchmarks/baselines/t14_fleet_baseline.json`` the same way
-the T13 hot-path gate works.
+The devices/sec headline lands in ``extra_info``; the asserts at the
+end are the gate, the same way the T13 hot-path gate works.
 """
 
 from __future__ import annotations
@@ -91,6 +90,8 @@ def test_t14_fleet_scale(benchmark, bundle_cnn):
 
     # The refactor's acceptance bar: a 10k-device campaign must be a
     # lunch-break job, not an overnight one, and reports must be small.
+    # The floor sits far below local single-core runs (~13 devices/sec)
+    # so shared CI runners cannot flake it.
     assert devices_per_sec >= 2.0, \
         f"fleet throughput {devices_per_sec:.2f} devices/sec < 2.0"
     assert report_kb < 256.0, f"device report {report_kb:.0f} KiB too large"

@@ -18,9 +18,8 @@ contracts:
   brown-out starting and the multi-window alarm firing, which is the
   cost side of the bytes saved by a coarser ring.
 
-The headline numbers land in ``extra_info`` and are gated in CI against
-``benchmarks/baselines/t15_burnrate_baseline.json`` the same way the
-T13/T14 gates work.
+The headline numbers land in ``extra_info``; the asserts at the end are
+the gate, the same way the T13/T14 gates work.
 """
 
 from __future__ import annotations
@@ -181,7 +180,9 @@ def test_t15_burnrate(benchmark, bundle_cnn):
     # The pillar's acceptance bar: auto sampling must ship >=5x fewer
     # telemetry bytes per device without moving the fleet quantile more
     # than one bucket, and a coarser ring may delay — never lose — the
-    # burn alarm.
+    # burn alarm.  Detection latency is simulated time, hence
+    # deterministic (0.133 h at cadence 8 locally); the 1 h ceiling
+    # leaves ~7x slack.
     assert reduction >= 5.0, \
         f"auto sampling only reduced telemetry {reduction:.1f}x (< 5x)"
     assert bucket_err <= 1, \

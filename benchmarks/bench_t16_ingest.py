@@ -108,7 +108,7 @@ def test_t16_max_sustained_ingest(benchmark):
     knee = max(sustained, key=lambda r: r["accepted_per_sec"])
     overloaded = rows[-1]
     # Backpressure must actually engage under overload...
-    assert overloaded["shed_rate"] > 0.3
+    assert overloaded["shed_rate"] >= 0.5, overloaded
     # ...and the generous level must sail through unthrottled.
     assert rows[0]["shed_rate"] == 0.0
 
@@ -147,3 +147,12 @@ def test_t16_max_sustained_ingest(benchmark):
     (RESULTS_DIR / "t16_ingest.json").write_text(
         json.dumps({"levels": rows, "headline": headline}, indent=2)
     )
+
+    # The gate.  Simulated-time numbers are deterministic (local runs
+    # measure 16000 sustained records/sec, 0.877 shed at 8x overload and
+    # a p99 admission of 3200 cycles) but carry margin, so retuning the
+    # config on purpose means editing a bound here, not reverting it.
+    # The wall-clock floor is deliberately loose for shared CI runners.
+    assert headline["max_sustained_records_per_sec"] >= 15_000, headline
+    assert headline["admission_p99_cycles"] <= 20_000, headline
+    assert headline["wall_records_per_sec"] >= 3_000, headline

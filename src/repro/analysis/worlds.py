@@ -91,8 +91,7 @@ class TaintSpec:
         "filter.apply",        # the sensitive-content decision itself
         "storage.put",         # sealed-storage write
         "enqueue",             # sealed store-and-forward queue
-        "send_transcript",     # relay send of *filtered* payloads
-        "send_alert",
+        "send_payload",        # relay send of *filtered* payloads
     )
     # Builtins whose result carries no payload information.
     clean_builtins: tuple[str, ...] = (

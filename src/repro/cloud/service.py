@@ -135,8 +135,12 @@ class IngestionConfig:
 
 
 def tenant_shard(device_id: str, shards: int) -> int:
-    """Deterministic tenant→shard mapping (CRC32, never salted hash)."""
-    return zlib.crc32(device_id.encode()) % shards
+    """Deterministic tenant→shard mapping (CRC32, never salted hash).
+
+    ``surrogatepass`` keeps a sender id that is valid JSON but not valid
+    UTF-8 (a lone surrogate) hashable; valid ids encode as plain UTF-8.
+    """
+    return zlib.crc32(device_id.encode("utf-8", "surrogatepass")) % shards
 
 
 @dataclass
@@ -346,16 +350,13 @@ class VoiceCloudService:
     def _handle_event(self, payload: bytes, encrypted: bool) -> bytes:
         try:
             event = AvsEvent.from_bytes(payload)
+            dialog_id, attempt, device_id, trace_id = event.dialog()
         except RecordError:
             return json.dumps({"directive": "error", "reason": "bad event"}).encode()
         self.events_handled += 1
+        key = (encrypted, device_id, dialog_id)
         if event.name == "Recognize":
             transcript = str(event.payload.get("transcript", ""))
-            dialog_id = int(event.payload.get("dialogRequestId", -1))
-            attempt = int(event.payload.get("attempt", 1))
-            device_id = str(event.payload.get("deviceId", ""))
-            trace_id = str(event.payload.get("traceId", ""))
-            key = (encrypted, device_id, dialog_id)
             if attempt > 1 and key in self._seen_dialogs:
                 # Idempotent replay: the sender never saw our first reply.
                 self.duplicates_suppressed += 1
@@ -378,17 +379,13 @@ class VoiceCloudService:
                 {"directive": "Response", "speech": f"ok: {len(transcript)} chars"}
             ).encode()
         if event.name == "Alert":
-            dialog_id = int(event.payload.get("dialogRequestId", -1))
-            attempt = int(event.payload.get("attempt", 1))
-            device_id = str(event.payload.get("deviceId", ""))
-            key = (encrypted, device_id, dialog_id)
             if attempt > 1 and key in self._seen_dialogs:
                 self.duplicates_suppressed += 1
             else:
                 self._seen_dialogs.add(key)
                 try:
                     doc = json.loads(str(event.payload.get("alert", "{}")))
-                except json.JSONDecodeError:
+                except (ValueError, RecursionError):
                     doc = {"malformed": True}
                 self.alerts.append(doc)
             return json.dumps({"directive": "AlertAck"}).encode()

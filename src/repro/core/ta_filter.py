@@ -108,6 +108,15 @@ RELAY_SHED = "shed"
 # committed one.
 _CKPT_NAMES = ("ckpt/audio-filter/a", "ckpt/audio-filter/b")
 
+# CMD_ALERT outcome → the counter it lands in; a throttled alert is
+# sealed in the queue like a queued one.
+_ALERT_COUNTERS = {
+    RELAY_SENT: "tee.alerts_sent",
+    RELAY_QUEUED: "tee.alerts_queued",
+    RELAY_THROTTLED: "tee.alerts_queued",
+    RELAY_SHED: "tee.alerts_shed",
+}
+
 
 def make_audio_filter_ta(
     bundle: FilterBundle,
@@ -161,7 +170,6 @@ def make_audio_filter_ta(
                 RELAY_SENT: 0, RELAY_QUEUED: 0, RELAY_DROPPED: 0,
                 RELAY_THROTTLED: 0, RELAY_SHED: 0, "drained": 0,
             }
-            self.decisions: list[dict[str, Any]] = []
             # Checkpoint state (supervised mode): sequence number and
             # decision record of the last sealed checkpoint, plus which
             # A/B generation the next seal writes.
@@ -216,7 +224,7 @@ def make_audio_filter_ta(
             if cmd == CMD_ALERT:
                 assert self.ctx is not None
                 raw = self.ctx.read_memref(params.memref(0))
-                return self._relay_alert(json.loads(raw.decode()))
+                return self._alert(json.loads(raw.decode()))
             if cmd == CMD_PROCESS_STREAM:
                 frames = params.value(0).a
                 return self._process_stream(frames)
@@ -437,29 +445,25 @@ def make_audio_filter_ta(
         def _drain_queue(self) -> int:
             """Flush stored payloads after a successful send.
 
-            Re-sends reuse each entry's original dialog id and prior
-            attempt count, so the cloud can deduplicate if a pre-spill
-            attempt actually got through and only its reply was lost.
+            Each entry re-sends as the kind its sealed metadata names (a
+            transcript when it names none), reusing its original dialog
+            id and prior attempt count, so the cloud can deduplicate if a
+            pre-spill attempt actually got through and only its reply was
+            lost.
             """
             assert self.relay is not None and self.queue is not None
             if not len(self.queue):
                 return 0
             relay = self.relay
-
-            def resend(payload: str, meta: dict[str, Any]) -> Any:
-                send = (
-                    relay.send_alert
-                    if meta.get("kind") == "alert"
-                    else relay.send_transcript
-                )
-                return send(
+            drained = self.queue.drain(
+                lambda payload, meta: relay.send_payload(
+                    meta.get("kind", "transcript"),
                     payload,
                     dialog_id=meta.get("dialog_id"),
                     prior_attempts=int(meta.get("attempts", 0)),
                     trace_id=str(meta.get("trace_id", "")),
                 )
-
-            drained = self.queue.drain(resend)
+            )
             self.relay_counts["drained"] += drained
             if drained:
                 assert self.ctx is not None
@@ -469,98 +473,33 @@ def make_audio_filter_ta(
                 )
             return drained
 
-        def _spill(
-            self,
-            payload: str,
-            status: str,
-            meta: dict[str, Any],
-            attempts: int,
-        ) -> tuple[str, dict | None, int]:
-            """Seal an undeliverable payload into the bounded queue.
+        def _relay(
+            self, kind: str, payload: str, trace_id: str = ""
+        ) -> tuple[str, dict | None, int, str | None]:
+            """Deliver one payload of ``kind``; spill it sealed on failure.
 
-            Returns ``(status, None, attempts)`` — or sheds fail-closed
-            when the queue is at depth: the newest payload is refused
-            with explicit accounting (``relay.queue.rejected`` + the
-            ``shed`` count CMD_STATS reports), never silently, and never
-            by evicting an older already-accounted entry.
-            """
-            assert self.ctx is not None and self.queue is not None
-            try:
-                name = self.queue.enqueue(payload, meta=meta)
-            except RelayQueueFullError as exc:
-                self.relay_counts[RELAY_SHED] += 1
-                self.ctx.metrics.inc("relay.queue.rejected")
-                self.ctx.log(
-                    "relay_shed", depth=exc.depth, would_be=status,
-                )
-                return RELAY_SHED, None, attempts
-            self.relay_counts[status] += 1
-            self.ctx.log(
-                "relay_queued",
-                entry=name, depth=len(self.queue), status=status,
-            )
-            return status, None, attempts
+            The one way data leaves the TA: decisions (``"transcript"``)
+            and health alerts (``"alert"``) share this send, spill and
+            drain.  Returns ``(status, directive, attempts, entry)`` —
+            ``"sent"`` with the cloud's directive, ``"queued"`` or
+            ``"throttled"`` with the sealed entry's name, or ``"shed"`` —
+            and leaves the accounting to the caller.
 
-        def _relay_payload(
-            self, payload: str, trace_id: str = ""
-        ) -> tuple[str, dict | None, int]:
-            """Deliver one filtered payload; spill to the queue on failure.
-
-            Returns ``(status, directive, attempts)``.  The payload handed
-            over here is already filtered, so queueing it (sealed) leaks
-            nothing the relay would not eventually send anyway.  A trace
-            id rides both the send and the sealed queue entry, so a
-            drained re-send keeps the original utterance's correlation.
-
-            Backpressure (a ``Throttled`` admission verdict, or a still
-            open backpressure window) is not a fault: the payload spills
-            with status ``"throttled"`` and no retry budget is spent —
-            the server said *when* to come back, and the queue drain after
-            that window honours it.
+            The payload is already filtered, so sealing it leaks nothing
+            the relay would not eventually send.  A ``Throttled`` verdict
+            (or a still open backpressure window) is not a fault: the
+            payload spills as ``"throttled"`` without spending retry
+            budget, and the drain after the server's window honours it.
+            A full queue sheds fail-closed: the newest payload is refused
+            and counted (``relay.queue.rejected``), never silently and
+            never by evicting an older, already-accounted entry.
             """
             assert self.ctx is not None
             assert self.relay is not None and self.queue is not None
             dialog_id = self.relay.allocate_dialog_id()
             try:
-                directive = self.relay.send_transcript(
-                    payload, dialog_id=dialog_id, trace_id=trace_id
-                )
-            except RelayThrottledError as exc:
-                meta = {"dialog_id": dialog_id, "attempts": exc.attempts}
-                if trace_id:
-                    meta["trace_id"] = trace_id
-                return self._spill(
-                    payload, RELAY_THROTTLED, meta, exc.attempts
-                )
-            except RelayDeliveryError as exc:
-                meta = {"dialog_id": dialog_id, "attempts": exc.attempts}
-                if trace_id:
-                    meta["trace_id"] = trace_id
-                return self._spill(payload, RELAY_QUEUED, meta, exc.attempts)
-            self.relay_counts[RELAY_SENT] += 1
-            # The link just worked: opportunistically flush the backlog.
-            self._drain_queue()
-            return RELAY_SENT, directive, self.relay.last_attempts
-
-        def _relay_alert(self, doc: dict[str, Any]) -> dict[str, Any]:
-            """Ship a health alert with the same guarantees as decisions.
-
-            Alerts contain only operational telemetry (SLO verdicts,
-            flight-recorder spans — no audio, no transcripts), but they
-            ride the identical path: TLS relay with retries, and on
-            failure a sealed spill into the store-and-forward queue
-            tagged ``kind="alert"`` so the drain re-sends it as one.
-            """
-            assert self.ctx is not None
-            assert self.relay is not None and self.queue is not None
-            # Health reports name the trace that tripped the SLO; keep
-            # that correlation on the alert's own relay path.
-            alert_trace = str(doc.get("trace_id", "") or "")
-            payload = json.dumps(doc, sort_keys=True)
-            dialog_id = self.relay.allocate_dialog_id()
-            try:
-                directive = self.relay.send_alert(
-                    payload, dialog_id=dialog_id, trace_id=alert_trace
+                directive = self.relay.send_payload(
+                    kind, payload, dialog_id=dialog_id, trace_id=trace_id
                 )
             except RelayDeliveryError as exc:
                 status = (
@@ -568,37 +507,51 @@ def make_audio_filter_ta(
                     if isinstance(exc, RelayThrottledError)
                     else RELAY_QUEUED
                 )
-                meta = {
-                    "dialog_id": dialog_id,
-                    "attempts": exc.attempts,
-                    "kind": "alert",
-                }
-                if alert_trace:
-                    meta["trace_id"] = alert_trace
+                # A transcript's kind stays implicit (the drain's
+                # default), so decision entries and events carry none.
+                tag = {} if kind == "transcript" else {"kind": kind}
+                meta = {"dialog_id": dialog_id, "attempts": exc.attempts, **tag}
+                if trace_id:
+                    meta["trace_id"] = trace_id
                 try:
-                    name = self.queue.enqueue(payload, meta=meta)
+                    entry = self.queue.enqueue(payload, meta=meta)
                 except RelayQueueFullError as full:
-                    # Same fail-closed shedding as decisions, accounted
-                    # in its own counter: alerts are telemetry, so they
-                    # never displace a decision payload from the queue.
                     self.ctx.metrics.inc("relay.queue.rejected")
-                    self.ctx.metrics.inc("tee.alerts_shed")
-                    self.ctx.log("alert_shed", depth=full.depth)
-                    return {"status": RELAY_SHED, "attempts": exc.attempts}
-                self.ctx.metrics.inc("tee.alerts_queued")
-                self.ctx.log("alert_queued", entry=name, depth=len(self.queue))
-                return {
-                    "status": status,
-                    "entry": name,
-                    "attempts": exc.attempts,
-                }
-            self.ctx.metrics.inc("tee.alerts_sent")
+                    self.ctx.log(
+                        "relay_shed", depth=full.depth, would_be=status, **tag
+                    )
+                    return RELAY_SHED, None, exc.attempts, None
+                self.ctx.log(
+                    "relay_queued",
+                    entry=entry, depth=len(self.queue), status=status, **tag,
+                )
+                return status, None, exc.attempts, entry
+            # The link just worked: opportunistically flush the backlog.
+            # ``last_attempts`` is read after the drain, so a drained
+            # re-send overwrites this payload's count (pinned as is by
+            # the decision digests).
             self._drain_queue()
-            return {
-                "status": RELAY_SENT,
-                "directive": directive,
-                "attempts": self.relay.last_attempts,
+            return RELAY_SENT, directive, self.relay.last_attempts, None
+
+        def _alert(self, doc: dict[str, Any]) -> dict[str, Any]:
+            """``CMD_ALERT``: relay a health alert as decisions are relayed.
+
+            Returns ``{"status", "directive" | "entry", "attempts"}``; the
+            outcome counts in ``tee.alerts_*``, never in the decision
+            counts.  The trace that tripped the SLO rides the alert.
+            """
+            assert self.ctx is not None
+            status, directive, attempts, entry = self._relay(
+                "alert",
+                json.dumps(doc, sort_keys=True),
+                trace_id=str(doc.get("trace_id", "") or ""),
+            )
+            self.ctx.metrics.inc(_ALERT_COUNTERS[status])
+            outcome = {
+                "status": status, "directive": directive, "entry": entry,
+                "attempts": attempts,
             }
+            return {k: v for k, v in outcome.items() if v is not None}
 
         def _process(self, frames: int, seq: int = 0) -> dict[str, Any]:
             """Capture → ASR → classify → filter → relay, one utterance.
@@ -676,7 +629,6 @@ def make_audio_filter_ta(
                             "relay_attempts": 0,
                         }
                         self.relay_counts[RELAY_DROPPED] += 1
-                        self.decisions.append(record)
                         ctx.log("accidental_capture_dropped")
                         return record
                     classify_text = gate.command
@@ -697,11 +649,10 @@ def make_audio_filter_ta(
                 directive = None
                 relay_status, relay_attempts = RELAY_DROPPED, 0
                 if decision.forwarded and decision.payload is not None:
-                    relay_status, directive, relay_attempts = (
-                        self._relay_payload(decision.payload, trace_id=trace_id)
+                    relay_status, directive, relay_attempts, _ = self._relay(
+                        "transcript", decision.payload, trace_id=trace_id
                     )
-                else:
-                    self.relay_counts[RELAY_DROPPED] += 1
+                self.relay_counts[relay_status] += 1
             record = {
                 "transcript": transcript,
                 "probability": decision.probability,
@@ -713,7 +664,6 @@ def make_audio_filter_ta(
                 "relay_status": relay_status,
                 "relay_attempts": relay_attempts,
             }
-            self.decisions.append(record)
             return record
 
         def _process_stream(self, frames: int) -> list[dict[str, Any]]:

@@ -1,18 +1,36 @@
 """AVS-style application protocol.
 
 A minimal Alexa-Voice-Service-shaped event protocol: the device sends
-JSON *events* (``Recognize`` with a transcript, ``Heartbeat``), the cloud
-answers with *directives* (``Ack``, ``Response``).  Enough structure for
-the cloud service to act as a realistic recorder of what it was sent.
+JSON *events* (``Recognize`` with a transcript, ``Alert`` with a health
+alert, ``SynchronizeState`` as a heartbeat), the cloud answers with
+*directives* (``Response``, ``AlertAck``, ``Ack``, ``Throttled``).
+Enough structure for the cloud service to act as a realistic recorder of
+what it was sent.  Each side treats the other as untrusted: whatever it
+cannot parse is a :class:`~repro.errors.RecordError`.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from typing import Any
 
 from repro.errors import RecordError
+
+
+#: What reading a field of a decoded event raises when the field is
+#: missing or of the wrong type; :meth:`AvsEvent.from_bytes` and
+#: :meth:`AvsEvent.dialog` turn these into :class:`RecordError`.
+_MALFORMED_FIELD = (KeyError, TypeError, ValueError, RecursionError)
+
+#: Relayed payload kind → ``(namespace, event name, body key)``.  The relay
+#: sends, spills and drains every kind the same way; only the event that
+#: carries the payload differs.
+EVENT_KINDS: dict[str, tuple[str, str, str]] = {
+    "transcript": ("SpeechRecognizer", "Recognize", "transcript"),
+    "alert": ("System", "Alert", "alert"),
+}
 
 
 @dataclass(frozen=True)
@@ -35,93 +53,89 @@ class AvsEvent:
         ).encode()
 
     @classmethod
-    def recognize(
+    def of_kind(
         cls,
-        transcript: str,
+        kind: str,
+        body: str,
         dialog_id: int,
         attempt: int = 1,
         device_id: str = "",
         trace_id: str = "",
     ) -> "AvsEvent":
-        """The speech-recognition event carrying a transcript.
+        """The event carrying one relayed payload of ``kind``.
 
-        ``attempt`` counts delivery attempts of the *same* logical event
-        (``dialogRequestId`` is stable across retries), letting the cloud
-        suppress duplicates when only a reply was lost in transit.  First
-        attempts omit the field (the receiver defaults it to 1), keeping
-        the clean-path wire bytes identical to a retry-free protocol.
-
-        ``device_id`` names the sending device so a *shared* ingestion
-        endpoint can scope duplicate suppression per sender — dialog ids
-        are only unique within one device's counter.  Like ``attempt``,
-        it is omitted when empty so single-device deployments keep their
-        historical wire bytes.
-
-        ``trace_id`` correlates the event with the device-side spans of
-        the same utterance (deterministically derived in the TA).  Also
-        omitted when empty — trace-off runs keep their wire bytes.
+        ``kind`` picks namespace, event name and body key from
+        :data:`EVENT_KINDS`.  ``attempt`` counts delivery attempts of the
+        *same* logical event (``dialogRequestId`` is stable across
+        retries), so the cloud can suppress duplicates when only a reply
+        was lost.  ``device_id`` scopes that suppression per sender —
+        dialog ids are per-device counters.  ``trace_id`` correlates the
+        event with the device-side spans of the same utterance.  Each of
+        the three is omitted at its default, so first-attempt,
+        single-device, trace-off runs keep the wire bytes of a protocol
+        without them; :meth:`dialog` reads them back with those defaults.
         """
-        payload: dict[str, Any] = {
-            "transcript": transcript,
-            "dialogRequestId": dialog_id,
-        }
+        namespace, name, body_key = EVENT_KINDS[kind]
+        payload: dict[str, Any] = {body_key: body, "dialogRequestId": dialog_id}
         if attempt > 1:
             payload["attempt"] = attempt
         if device_id:
             payload["deviceId"] = device_id
         if trace_id:
             payload["traceId"] = trace_id
-        return cls(
-            namespace="SpeechRecognizer", name="Recognize", payload=payload
-        )
+        return cls(namespace=namespace, name=name, payload=payload)
+
+    @classmethod
+    def recognize(
+        cls, transcript: str, dialog_id: int, **fields: Any
+    ) -> "AvsEvent":
+        """The speech-recognition event: ``of_kind("transcript", …)``."""
+        return cls.of_kind("transcript", transcript, dialog_id, **fields)
 
     @classmethod
     def heartbeat(cls) -> "AvsEvent":
         """Keep-alive event."""
         return cls(namespace="System", name="SynchronizeState", payload={})
 
-    @classmethod
-    def alert(
-        cls,
-        alert_json: str,
-        dialog_id: int,
-        attempt: int = 1,
-        device_id: str = "",
-        trace_id: str = "",
-    ) -> "AvsEvent":
-        """A device-health alert (SLO violation, flight-recorder dump).
+    def dialog(self) -> tuple[int, int, str, str]:
+        """``(dialog_id, attempt, device_id, trace_id)`` of this event.
 
-        Same retry/duplicate-suppression contract as :meth:`recognize`:
-        ``dialogRequestId`` is stable across re-deliveries, ``attempt``
-        counts them, and ``device_id``/``trace_id`` scope and correlate
-        the event (each omitted when defaulted so first-attempt
-        single-device bytes stay unchanged).
+        Omitted fields read as the defaults :meth:`of_kind` omits (a
+        missing dialog id as ``-1``).  The sender is untrusted: a dialog
+        id or attempt that is not an integer raises :class:`RecordError`.
         """
-        payload: dict[str, Any] = {
-            "alert": alert_json,
-            "dialogRequestId": dialog_id,
-        }
-        if attempt > 1:
-            payload["attempt"] = attempt
-        if device_id:
-            payload["deviceId"] = device_id
-        if trace_id:
-            payload["traceId"] = trace_id
-        return cls(namespace="System", name="Alert", payload=payload)
+        get = self.payload.get
+        try:
+            return (
+                operator.index(get("dialogRequestId", -1)),
+                operator.index(get("attempt", 1)),
+                str(get("deviceId", "")),
+                str(get("traceId", "")),
+            )
+        except _MALFORMED_FIELD as exc:
+            raise RecordError(f"malformed AVS event field: {exc}") from exc
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "AvsEvent":
-        """Parse the wire encoding."""
+        """Parse the wire encoding; anything malformed is a RecordError.
+
+        The sender is untrusted: undecodable bytes, JSON without an
+        event header, and a payload that is not an object all raise
+        :class:`RecordError`, never a stray ``TypeError``.
+        """
         try:
             doc = json.loads(data.decode())
             header = doc["event"]["header"]
-            return cls(
+            event = cls(
                 namespace=header["namespace"],
                 name=header["name"],
                 payload=doc["event"].get("payload", {}),
             )
-        except (KeyError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except _MALFORMED_FIELD as exc:
             raise RecordError(f"malformed AVS event: {exc}") from exc
+        if not isinstance(event.payload, dict):
+            raise RecordError("malformed AVS event: payload is not an object")
+        return event
 
 
 class AvsClient:
@@ -160,17 +174,22 @@ class AvsClient:
 
     def recognize(
         self,
-        transcript: str,
+        body: str,
         dialog_id: int | None = None,
         attempt: int = 1,
         trace_id: str = "",
+        kind: str = "transcript",
     ) -> dict[str, Any]:
-        """Send a transcript; returns the cloud's directive."""
+        """Send one relayed payload; returns the cloud's directive.
+
+        ``kind`` picks the event from :data:`EVENT_KINDS` — by default a
+        ``Recognize`` carrying a transcript, or a ``System.Alert``.
+        """
         if dialog_id is None:
             dialog_id = self.allocate_dialog_id()
         reply = self._request(
-            AvsEvent.recognize(
-                transcript, dialog_id, attempt, self._device_id, trace_id
+            AvsEvent.of_kind(
+                kind, body, dialog_id, attempt, self._device_id, trace_id
             ).to_bytes()
         )
         self.events_sent += 1
@@ -182,27 +201,22 @@ class AvsClient:
         self.events_sent += 1
         return self._parse_directive(reply)
 
-    def alert(
-        self,
-        alert_json: str,
-        dialog_id: int | None = None,
-        attempt: int = 1,
-        trace_id: str = "",
-    ) -> dict[str, Any]:
-        """Send a health alert; returns the cloud's directive."""
-        if dialog_id is None:
-            dialog_id = self.allocate_dialog_id()
-        reply = self._request(
-            AvsEvent.alert(
-                alert_json, dialog_id, attempt, self._device_id, trace_id
-            ).to_bytes()
-        )
-        self.events_sent += 1
-        return self._parse_directive(reply)
-
     @staticmethod
     def _parse_directive(reply: bytes) -> dict[str, Any]:
+        """Decode the cloud's reply; anything malformed is a RecordError.
+
+        The cloud is untrusted.  A reply that is not a JSON object, or a
+        ``Throttled`` verdict whose ``retryAfterCycles`` is not an
+        integer, raises :class:`RecordError` — which the relay retries
+        like any record fault, and then spills the payload sealed —
+        instead of a stray exception that would panic the TA.
+        """
         try:
-            return json.loads(reply.decode())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            directive = json.loads(reply.decode())
+            # Only a JSON object has ``get``; ``operator.index`` rejects a
+            # retry hint that is not an integer.
+            if directive.get("directive") == "Throttled":
+                operator.index(directive.get("retryAfterCycles", 1))
+        except (AttributeError, *_MALFORMED_FIELD) as exc:
             raise RecordError(f"malformed directive: {exc}") from exc
+        return directive

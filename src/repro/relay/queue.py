@@ -68,8 +68,6 @@ class StoreForwardQueue:
         self._seq = (
             int(self._names[-1][len(_QUEUE_PREFIX):]) + 1 if self._names else 0
         )
-        self.enqueued = 0
-        self.drained = 0
         self.rejected = 0
 
     def __len__(self) -> int:
@@ -99,7 +97,6 @@ class StoreForwardQueue:
         entry = {"payload": payload, **(meta or {})}
         self._storage.put(name, json.dumps(entry).encode())
         self._names.append(name)
-        self.enqueued += 1
         return name
 
     def drain(self, send: Callable[[str, dict[str, Any]], Any]) -> int:
@@ -132,5 +129,4 @@ class StoreForwardQueue:
             self._storage.delete(name)
             self._names.pop(0)
             delivered += 1
-            self.drained += 1
         return delivered

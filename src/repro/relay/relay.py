@@ -21,6 +21,7 @@ the payload into the sealed store-and-forward queue.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -227,56 +228,36 @@ class RelayModule:
         """Advance the dialog-id counter after a checkpoint restore."""
         self._avs.restore_dialog_cursor(value)
 
-    def send_transcript(
+    def send_payload(
         self,
-        transcript: str,
+        kind: str,
+        payload: str,
         dialog_id: int | None = None,
         prior_attempts: int = 0,
         trace_id: str = "",
     ) -> dict[str, Any]:
-        """Ship one (already filtered) transcript to the cloud service.
+        """Ship one (already filtered) payload of ``kind`` to the cloud.
 
-        Retries per :attr:`policy`; raises
-        :class:`~repro.errors.RelayDeliveryError` once exhausted.  Delivery
-        is at-least-once on the wire, but every attempt of one logical
-        event carries the same ``dialog_id`` (pass the stored id and
-        ``prior_attempts`` when re-sending a queued payload), so the cloud
-        can suppress duplicates when only a reply was lost.  ``trace_id``
-        (when non-empty) rides every attempt's event so the cloud record
-        correlates with the device-side spans.
+        ``kind`` names the event that carries it
+        (:data:`~repro.relay.avs.EVENT_KINDS`): ``"transcript"`` for
+        decisions, ``"alert"`` for health alerts.  Retries per
+        :attr:`policy`; raises :class:`~repro.errors.RelayDeliveryError`
+        once exhausted.  Delivery is at-least-once on the wire, but every
+        attempt of one logical event carries the same ``dialog_id`` (pass
+        the stored id and ``prior_attempts`` when re-sending a queued
+        payload), so the cloud can suppress duplicates when only a reply
+        was lost.  ``trace_id`` (when non-empty) rides every attempt's
+        event so the cloud record correlates with the device-side spans.
         """
         if dialog_id is None:
             dialog_id = self.allocate_dialog_id()
-        attempt = {"n": prior_attempts}
-
-        def op() -> dict[str, Any]:
-            attempt["n"] += 1
-            return self._avs.recognize(
-                transcript, dialog_id, attempt["n"], trace_id=trace_id
+        attempts = itertools.count(prior_attempts + 1)
+        return self._deliver(
+            lambda: self._avs.recognize(
+                payload, dialog_id, next(attempts), trace_id=trace_id,
+                kind=kind,
             )
-
-        return self._deliver(op)
-
-    def send_alert(
-        self,
-        alert_json: str,
-        dialog_id: int | None = None,
-        prior_attempts: int = 0,
-        trace_id: str = "",
-    ) -> dict[str, Any]:
-        """Ship a health alert with the same delivery contract as
-        :meth:`send_transcript` (retries, stable dialog id, queueable)."""
-        if dialog_id is None:
-            dialog_id = self.allocate_dialog_id()
-        attempt = {"n": prior_attempts}
-
-        def op() -> dict[str, Any]:
-            attempt["n"] += 1
-            return self._avs.alert(
-                alert_json, dialog_id, attempt["n"], trace_id=trace_id
-            )
-
-        return self._deliver(op)
+        )
 
     def heartbeat(self) -> dict[str, Any]:
         """Send a keep-alive through the secure channel (with retries)."""

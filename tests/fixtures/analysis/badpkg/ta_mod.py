@@ -22,6 +22,6 @@ class GoodTa(TrustedApplication):  # noqa: F821 - parse-only fixture
         pcm = ctx.invoke_pta(self.pta_uuid, CMD_READ, {"frames": 64})
         ctx.storage.put("checkpoint", pcm)          # declassified: sealed
         decision = self.bundle.filter.apply(pcm)    # declassified: filtered
-        self.relay.send_transcript(decision)        # declassified: relay
+        self.relay.send_payload("transcript", decision)  # declassified: relay
         ctx.log("processed", frames=len(pcm))       # clean: len() only
         return {"ok": True}

@@ -1,0 +1,191 @@
+"""Byte pins for the health-alert relay path.
+
+Health alerts leave the device through the same relay as decisions, so
+their bytes are pinned the same way decision bytes are: the sha256 of
+the AVS event encodings, the TA's outcome dict and ``tee.alerts_*``
+counters for a delivered and for a spilled-then-drained alert, the
+sha256 of every wire frame, and the literal stdout of a failing
+``repro health`` run that routes its alert.  The values were recorded
+from the implementation that still carried a separate alert relay; a
+change that moves one of them changed what leaves the device.
+"""
+
+import hashlib
+
+import pytest
+
+from repro.cli import main
+from repro.core.pipeline import SecurePipeline
+from repro.core.platform import IotPlatform
+from repro.core.workload import UtteranceWorkload
+from repro.ml.dataset import UtteranceGenerator
+from repro.obs.health import HealthMonitor, SloRule
+from repro.obs.metrics import MetricsRegistry
+from repro.relay.alerts import route_health_alert
+from repro.relay.avs import AvsEvent
+from repro.sim.faults import FaultConfig
+from repro.sim.rng import SimRng
+
+# variant → (kwargs, sha256 of the Recognize bytes, of the Alert bytes)
+EVENT_PINS = {
+    "plain": (
+        {},
+        "6683e19de1c05a3758e433ed193dcebb4efa7611fc45d6ec872d235299637074",
+        "2b627800c5d76a7f518cb8272ecfb5c8abc19de378eaa483f86bb06f64879028",
+    ),
+    "attempt": (
+        {"attempt": 2},
+        "5666922be2c7f7a36e9b4bf1fff0a43203d3d2120f13039b19b62fe8acc342c4",
+        "e0009e312e9b572ffcb202d935cfb286123564fe00e68a94451c2a9b7786afe6",
+    ),
+    "device": (
+        {"device_id": "d01"},
+        "b24314351685837ae8c364581138638161d01c0753694c2a24d7970a5b7653ba",
+        "cb8fce169a79a310944f879d7ac8bd721206835f16b4c3e34297e670fd6ea365",
+    ),
+    "trace": (
+        {"trace_id": "d01/u00002"},
+        "22c8d920ed092ce8e1fb4285eb80498648289b8d9b4343430b6f6c10594cd5f7",
+        "7871c0a66dadbfa5ff3fb5344abb2f70a3507fb729bdef2c7c251b38aaf0ef1a",
+    ),
+    "all": (
+        {"attempt": 2, "device_id": "d01", "trace_id": "d01/u00002"},
+        "06f65e01fb1124072bb045bab40b3692580da83bbe532a3f8d4ae0db4c84eaf8",
+        "5e40b9075e30b3dc57b639cebd1ab4059d32f6dc45ea9cea677cd3d223951e01",
+    ),
+}
+
+HEALTH_ALERT_STDOUT = """\
+device health (seed 17, clean network, none secure faults, 3 utterances)
+rule                      value         budget   status
+p99_latency            4.78e+08       <= 2e+06 VIOLATED
+relay_success                 1         >= 0.9       ok
+queue_depth                   0           <= 4       ok
+battery_drain              14.6       <= 2e+03       ok
+recovery_time                 0       <= 1e+08    gated
+shed_rate                     0         <= 0.5    gated
+admission_latency       2.15e+03       <= 5e+04       ok
+
+flight recorder: 39 spans captured
+alert routed through relay: sent (attempts 1)
+"""
+
+# sha256 of no frames at all: a refused link never reaches the wire.
+_EMPTY_SHA = "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _wire_sha(platform) -> str:
+    """sha256 over every wire frame, each prefixed with its length."""
+    h = hashlib.sha256()
+    for frame in platform.supplicant.net.wire_log:
+        h.update(len(frame).to_bytes(4, "big"))
+        h.update(frame)
+    return h.hexdigest()
+
+
+def _alert_counters(platform) -> dict[str, int]:
+    counters = platform.machine.obs.metrics.counters()
+    return {k: v for k, v in counters.items() if k.startswith("tee.alerts_")}
+
+
+def _failing_report():
+    reg = MetricsRegistry()
+    reg.inc("errors", 9)
+    rules = [SloRule("errs", metric="errors", op="<=", threshold=1)]
+    return HealthMonitor(reg, rules).evaluate()
+
+
+class TestEventBytes:
+    @pytest.mark.parametrize("variant", sorted(EVENT_PINS))
+    def test_recognize_bytes_pinned(self, variant):
+        kwargs, want, _ = EVENT_PINS[variant]
+        event = AvsEvent.recognize("turn on the lights", 7, **kwargs)
+        assert _sha256(event.to_bytes()) == want
+
+    @pytest.mark.parametrize("variant", sorted(EVENT_PINS))
+    def test_alert_bytes_pinned(self, variant):
+        kwargs, _, want = EVENT_PINS[variant]
+        event = AvsEvent.of_kind(
+            "alert", '{"kind": "health_alert"}', 7, **kwargs
+        )
+        assert _sha256(event.to_bytes()) == want
+
+
+class TestAlertRouting:
+    def test_sent_alert_pinned(self, provisioned):
+        platform = IotPlatform.create(seed=311)
+        pipeline = SecurePipeline(platform, provisioned.bundle)
+        try:
+            outcome = route_health_alert(
+                platform, pipeline.ta_uuid, _failing_report(),
+                device_id="dut",
+            )
+        finally:
+            pipeline.close()
+        assert outcome == {
+            "status": "sent",
+            "directive": {"directive": "AlertAck"},
+            "attempts": 1,
+        }
+        assert _alert_counters(platform) == {"tee.alerts_sent": 1}
+        assert len(platform.supplicant.net.wire_log) == 2
+        assert _wire_sha(platform) == (
+            "ae1fa6e8721c116a9a83b3cf8d319122d04341be3003fe09f728f7afce9b8bc2"
+        )
+        assert [a["device"] for a in platform.cloud.alerts] == ["dut"]
+
+    def test_queued_alert_drains_pinned(self, provisioned):
+        platform = IotPlatform.create(
+            seed=311, network_faults=FaultConfig(refuse_rate=1.0)
+        )
+        pipeline = SecurePipeline(platform, provisioned.bundle)
+        try:
+            outcome = route_health_alert(
+                platform, pipeline.ta_uuid, _failing_report(),
+                device_id="dut",
+            )
+            assert outcome == {
+                "status": "queued",
+                "entry": "relayq/00000000",
+                "attempts": 4,
+            }
+            assert _alert_counters(platform) == {"tee.alerts_queued": 1}
+            assert _wire_sha(platform) == _EMPTY_SHA
+            # The spill is logged like a decision's, tagged with its kind.
+            spills = [
+                (e.name, dict(e.attrs))
+                for e in platform.machine.obs.tracer.spans_in("optee.ta")
+                if e.name.startswith(("relay_queued", "alert_"))
+            ]
+            assert spills == [("relay_queued", {
+                "entry": "relayq/00000000", "depth": 1, "status": "queued",
+                "kind": "alert",
+            })]
+            # The link heals; the first forwarded decision drains the
+            # sealed alert ahead of the second one.
+            platform.supplicant.net.set_fault_injector(None)
+            corpus = UtteranceGenerator(SimRng(311, "chaos-test")).generate(
+                2, sensitive_fraction=0.0
+            )
+            run = pipeline.process(
+                UtteranceWorkload.from_corpus(corpus, provisioned.bundle.vocoder)
+            )
+        finally:
+            pipeline.close()
+        assert [r.relay_status for r in run.results] == ["sent", "sent"]
+        assert _alert_counters(platform) == {"tee.alerts_queued": 1}
+        assert len(platform.supplicant.net.wire_log) == 4
+        assert _wire_sha(platform) == (
+            "4b78451dbd0e2872b99c004833185b15aa0d086724f55de525d545eb77ad247c"
+        )
+        assert [a["device"] for a in platform.cloud.alerts] == ["dut"]
+
+
+def test_health_cli_routes_alert_stdout_pinned(capsys):
+    assert main(["health", "--seed", "17", "--utterances", "3",
+                 "--dump", "", "--latency-budget-ms", "1"]) == 1
+    assert capsys.readouterr().out == HEALTH_ALERT_STDOUT

@@ -1,10 +1,14 @@
 """Unit tests: cloud service recording + leak auditor."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud.auditor import LeakAuditor, transcript_match
 from repro.cloud.service import VoiceCloudService
+from repro.errors import RecordError
 from repro.ml.dataset import SensitiveCategory, Utterance
 from repro.relay.avs import AvsClient, AvsEvent
 from repro.relay.tls import TlsClient
@@ -82,13 +86,12 @@ class TestDedupScopedPerDevice:
 
     def test_alert_dedup_scoped_per_device_too(self, cloud):
         ep = cloud.plaintext_endpoint
-        ep.receive(AvsEvent.alert('{"a": 1}', 1, device_id="d00").to_bytes())
-        ep.receive(
-            AvsEvent.alert('{"b": 2}', 1, attempt=2, device_id="d01").to_bytes()
-        )
-        ep.receive(
-            AvsEvent.alert('{"a": 1}', 1, attempt=2, device_id="d00").to_bytes()
-        )
+        def alert(body, **kwargs):
+            return AvsEvent.of_kind("alert", body, 1, **kwargs).to_bytes()
+
+        ep.receive(alert('{"a": 1}', device_id="d00"))
+        ep.receive(alert('{"b": 2}', attempt=2, device_id="d01"))
+        ep.receive(alert('{"a": 1}', attempt=2, device_id="d00"))
         assert cloud.alerts == [{"a": 1}, {"b": 2}]
         assert cloud.duplicates_suppressed == 1
 
@@ -96,10 +99,109 @@ class TestDedupScopedPerDevice:
         # Single-device deployments (no device_id) must keep their
         # historical wire encoding: no deviceId key at all.
         assert b"deviceId" not in AvsEvent.recognize("x", 1).to_bytes()
-        assert b"deviceId" not in AvsEvent.alert("{}", 1).to_bytes()
+        assert b"deviceId" not in AvsEvent.of_kind(
+            "alert", "{}", 1
+        ).to_bytes()
         assert b"deviceId" in AvsEvent.recognize(
             "x", 1, device_id="d07"
         ).to_bytes()
+
+
+def _event(name: str, payload) -> bytes:
+    namespace = "System" if name == "Alert" else "SpeechRecognizer"
+    return json.dumps({"event": {
+        "header": {"namespace": namespace, "name": name}, "payload": payload,
+    }}).encode()
+
+
+#: JSON values of every shape, nested a little.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6,
+)
+_PAYLOADS = st.dictionaries(
+    st.sampled_from(["transcript", "alert", "dialogRequestId", "attempt",
+                     "deviceId", "traceId"]),
+    _JSON_VALUES,
+)
+_EVENTS = st.builds(
+    lambda namespace, name, payload: {"event": {
+        "header": {"namespace": namespace, "name": name}, "payload": payload,
+    }},
+    st.sampled_from(["SpeechRecognizer", "System"]) | _JSON_VALUES,
+    st.sampled_from(["Recognize", "Alert", "SynchronizeState"])
+    | _JSON_VALUES,
+    _PAYLOADS | _JSON_VALUES,
+)
+
+
+@pytest.fixture(scope="module")
+def shared_cloud():
+    return VoiceCloudService(SimRng(4), SimClock())
+
+
+class TestMalformedEvents:
+    """Valid JSON with a malformed field is a bad event the cloud answers
+    with an error directive, never a stray exception."""
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(_event("Recognize", {"transcript": "x",
+                                          "dialogRequestId": "abc"}),
+                     id="dialog-id-string"),
+        pytest.param(_event("Recognize", {"transcript": "x",
+                                          "dialogRequestId": 1,
+                                          "attempt": None}),
+                     id="attempt-null"),
+        pytest.param(_event("Recognize", [1, 2]), id="payload-list"),
+        pytest.param(b'{"event": []}', id="event-list"),
+        pytest.param(b'{"event": {"header": "Recognize"}}',
+                     id="header-string"),
+        pytest.param(b"[]", id="top-level-list"),
+        pytest.param(b"null", id="top-level-null"),
+        pytest.param(_event("Alert", {"alert": "{}", "dialogRequestId": [1]}),
+                     id="alert-dialog-id-list"),
+        pytest.param(_event("Alert", {"alert": "{}", "dialogRequestId": 1,
+                                      "attempt": "2"}),
+                     id="alert-attempt-string"),
+        pytest.param(b"1" * 5000, id="int-past-digit-limit"),
+        pytest.param(b"[" * 100_000, id="nested-too-deep"),
+    ])
+    def test_bad_event_directive(self, cloud, data):
+        reply = json.loads(cloud.plaintext_endpoint.receive(data))
+        assert reply == {"directive": "error", "reason": "bad event"}
+        assert cloud.received == [] and cloud.alerts == []
+        assert cloud.events_handled == 0
+
+    def test_from_bytes_raises_record_error(self):
+        with pytest.raises(RecordError):
+            AvsEvent.from_bytes(b'{"event": []}')
+
+    def test_undecodable_alert_body_recorded_as_malformed(self, cloud):
+        reply = cloud.plaintext_endpoint.receive(
+            _event("Alert", {"alert": "[" * 100_000, "dialogRequestId": 1})
+        )
+        assert json.loads(reply) == {"directive": "AlertAck"}
+        assert cloud.alerts == [{"malformed": True}]
+
+    def test_unencodable_device_id_still_admitted(self, cloud):
+        # A lone surrogate is valid JSON but not valid UTF-8; the tenant
+        # hash must not trip over it.
+        reply = cloud.plaintext_endpoint.receive(_event("Recognize", {
+            "transcript": "x", "dialogRequestId": 1, "deviceId": "\ud800",
+        }))
+        assert json.loads(reply)["directive"] == "Response"
+        assert cloud.received_transcripts == ["x"]
+
+    @given(st.one_of(_EVENTS, _JSON_VALUES))
+    @settings(max_examples=150, deadline=None)
+    def test_fuzz_receive_only_returns_directives(self, shared_cloud, doc):
+        reply = json.loads(
+            shared_cloud.plaintext_endpoint.receive(json.dumps(doc).encode())
+        )
+        assert isinstance(reply, dict) and "directive" in reply
 
 
 class TestTranscriptMatch:

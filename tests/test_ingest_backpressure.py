@@ -559,7 +559,7 @@ class TestRelayExhausted:
             retry_policy=RetryPolicy(max_attempts=3),
         )
         with pytest.raises(RelayExhaustedError) as excinfo:
-            relay.send_transcript("probe payload")
+            relay.send_payload("transcript", "probe payload")
         assert excinfo.value.attempts == 3
         assert excinfo.value.backoff_cycles > 0
         assert relay.stats["failed"] == 1

@@ -248,6 +248,30 @@ class TestRetryPath:
         assert result.relay_attempts == 2
         assert platform.cloud.received_transcripts.count(result.payload) == 1
 
+    @pytest.mark.parametrize("reply", [
+        b"[]",
+        b'{"directive": "Throttled", "retryAfterCycles": "soon"}',
+        b'{"directive": "Throttled", "retryAfterCycles": null}',
+    ], ids=["not-an-object", "retry-after-string", "retry-after-null"])
+    def test_malformed_directive_spills_without_panic(self, provisioned,
+                                                      reply):
+        """A malformed directive from the untrusted cloud is a record
+        error the relay retries; once the budget is spent the payload
+        spills sealed into the queue, and the TA never panics."""
+        platform, pipeline = self._pipeline(provisioned, seed=406)
+        platform.cloud.tls.set_handler(lambda _: reply)
+        workload = make_workload(provisioned, BENIGN[:1])
+        try:
+            run = pipeline.process(workload)
+            stats = self._relay_stats(pipeline)
+        finally:
+            pipeline.close()
+        metrics = platform.machine.obs.metrics
+        assert [r.relay_status for r in run.results] == ["queued"]
+        assert metrics.counter("tee.panics").value == 0
+        assert metrics.counter("relay.failed").value == 1
+        assert stats["queue_depth"] == 1
+
     def test_retry_events_traced(self, provisioned):
         platform, pipeline = self._pipeline(provisioned, seed=404)
         workload = make_workload(provisioned, BENIGN[:1])

@@ -73,7 +73,7 @@ class TestRelayModule:
         machine, relay, cloud = relay_setup
         machine.cpu._set_world(World.SECURE)
         try:
-            directive = relay.send_transcript("hello cloud")
+            directive = relay.send_payload("transcript", "hello cloud")
         finally:
             machine.cpu._set_world(World.NORMAL)
         assert directive["directive"] == "Response"

@@ -99,9 +99,9 @@ class TestWireBytes:
         assert back.payload["traceId"] == "d00/u00001"
 
     def test_alert_event_carries_trace_id(self):
-        ev = AvsEvent.alert("{}", 2, trace_id="d01/u00002")
+        ev = AvsEvent.of_kind("alert", "{}", 2, trace_id="d01/u00002")
         assert ev.payload["traceId"] == "d01/u00002"
-        assert b"traceId" not in AvsEvent.alert("{}", 2).to_bytes()
+        assert b"traceId" not in AvsEvent.of_kind("alert", "{}", 2).to_bytes()
 
 
 class TestQueueCorrelation:
