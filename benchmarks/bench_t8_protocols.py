@@ -8,47 +8,19 @@ driver sizes, the trace-based reduction, and the control-plane traffic
 the protocols force.
 """
 
-import numpy as np
-
 from benchmarks.conftest import write_result
 from repro.drivers.i2s_driver import I2sDriver
-from repro.drivers.hosting import KernelDriverHost
 from repro.drivers.usb_audio_driver import UsbAudioDriver
-from repro.kernel.tracer import FunctionTracer
-from repro.peripherals.audio import ToneSource
-from repro.peripherals.usb import UsbAudioMicrophone, UsbBus
 from repro.tcb.analyze import TcbAnalyzer
-from repro.tz.machine import TrustZoneMachine
-from tests.test_tcb import build_rig, trace_record_task
-
-
-def trace_usb_record():
-    machine = TrustZoneMachine()
-    mic = UsbAudioMicrophone(ToneSource())
-    bus = UsbBus(machine.clock, mic)
-    host = KernelDriverHost(machine)
-    driver = UsbAudioDriver(host, bus)
-    tracer = FunctionTracer()
-    host.attach_tracer(tracer)
-    tracer.start("record")
-    driver.probe()
-    driver.pcm_open_capture(128)
-    driver.trigger_start()
-    driver.read_chunk()
-    driver.trigger_stop()
-    driver.pcm_close()
-    session = tracer.stop()
-    return session, bus
+from repro.tcb.tasks import i2s_rig, trace_i2s, trace_usb_record, usb_rig
 
 
 def test_t8_protocol_complexity(benchmark):
-    # I2S side
-    _, kernel, _, _ = build_rig()
-    i2s_session = trace_record_task(kernel)
+    i2s_session = trace_i2s(i2s_rig()[0])
     i2s_plan = TcbAnalyzer(I2sDriver).analyze([i2s_session], task="record")
 
-    # USB side
-    usb_session, usb_bus = trace_usb_record()
+    usb_bus, usb_driver = usb_rig()
+    usb_session = trace_usb_record(usb_driver)
     usb_plan = TcbAnalyzer(UsbAudioDriver).analyze([usb_session], task="record")
 
     i2s, usb = i2s_plan.report, usb_plan.report

@@ -138,40 +138,13 @@ class DeadTcbReport:
         }
 
 
-def compute_dead_tcb(
-    project: Project,
-    wmap: WorldMap,
-    driver_class: type,
-    dynamic_hit: frozenset[str],
-) -> DeadTcbReport:
-    """Diff static reachability against the union of traced keep-sets.
-
-    ``driver_class`` is a :class:`repro.drivers.base.Driver` subclass; its
-    declared function set (names + LoC) scopes the comparison.
-    ``dynamic_hit`` is the union of functions the kernel tracer observed
-    across the task profiles (plus any always-keep set the plans used).
-    """
-    fns = driver_class.functions()
-    loc = {name: info.loc for name, info in fns.items()}
-    reach = static_reachability(project, wmap)
-    static_driver = frozenset(n for n in fns if n in reach.called_names)
-    return DeadTcbReport(
-        driver=driver_class.NAME,
-        entry_points=reach.entry_points,
-        loc=loc,
-        static_reachable=static_driver,
-        dynamic_hit=frozenset(dynamic_hit) & frozenset(fns),
-    )
-
-
 # -- parse-only driver extraction + the T001 regression gate -------------------
 #
-# `compute_dead_tcb` above needs the *runtime* driver class (it calls
-# ``Driver.functions()``), which is fine for `repro tcb` but would break
-# the analyzer's parse-only guarantee.  The gate below re-derives the same
-# name → LoC table from the ``@driver_fn(loc=..., ...)`` decorator
-# literals, which are always statically spelled, and diffs the current
-# dead set against a committed per-driver baseline
+# The analyzer never imports the code it checks, so the driver name → LoC
+# table comes from the ``@driver_fn(loc=..., ...)`` decorator literals,
+# which are always statically spelled (and equal ``Driver.functions()`` by
+# construction: ``driver_fn`` stores its ``loc`` argument verbatim).  The
+# gate diffs the current dead set against a committed per-driver baseline
 # (``analysis/deadtcb_baseline.json``) so dead-TCB *growth* fails CI the
 # way the perf gate bounds cycles.
 
@@ -188,11 +161,10 @@ class DriverStatics:
     lineno: int
     loc: Mapping[str, int]       # driver fn -> declared LoC
     fn_lines: Mapping[str, int]  # driver fn -> def lineno
-    entry_points: tuple[str, ...]
 
 
-def _driver_fn_meta(fn_node: ast.FunctionDef) -> tuple[int, bool] | None:
-    """(loc, entry_point) from a ``@driver_fn(...)`` decorator, or None."""
+def _driver_fn_loc(fn_node: ast.FunctionDef) -> int | None:
+    """The ``loc`` of a ``@driver_fn(...)`` decorator, or None."""
     for dec in fn_node.decorator_list:
         if not isinstance(dec, ast.Call):
             continue
@@ -200,20 +172,16 @@ def _driver_fn_meta(fn_node: ast.FunctionDef) -> tuple[int, bool] | None:
         if name is None or name.split(".")[-1] != "driver_fn":
             continue
         loc: int | None = None
-        entry = False
         if dec.args and isinstance(dec.args[0], ast.Constant) and isinstance(
             dec.args[0].value, int
         ):
             loc = dec.args[0].value
         for kw in dec.keywords:
-            if not isinstance(kw.value, ast.Constant):
-                continue
-            if kw.arg == "loc" and isinstance(kw.value.value, int):
+            if (kw.arg == "loc" and isinstance(kw.value, ast.Constant)
+                    and isinstance(kw.value.value, int)):
                 loc = kw.value.value
-            elif kw.arg == "entry_point" and isinstance(kw.value.value, bool):
-                entry = kw.value.value
         if loc is not None:
-            return loc, entry
+            return loc
     return None
 
 
@@ -232,7 +200,6 @@ def driver_statics(project: Project) -> dict[str, DriverStatics]:
                 continue
             loc: dict[str, int] = {}
             fn_lines: dict[str, int] = {}
-            entries: list[str] = []
             name = ""
             for stmt in node.body:
                 if isinstance(stmt, ast.Assign):
@@ -247,13 +214,11 @@ def driver_statics(project: Project) -> dict[str, DriverStatics]:
                 if not isinstance(stmt, (ast.FunctionDef,
                                          ast.AsyncFunctionDef)):
                     continue
-                meta = _driver_fn_meta(stmt)
-                if meta is None:
+                fn_loc = _driver_fn_loc(stmt)
+                if fn_loc is None:
                     continue
-                loc[stmt.name] = meta[0]
+                loc[stmt.name] = fn_loc
                 fn_lines[stmt.name] = stmt.lineno
-                if meta[1]:
-                    entries.append(stmt.name)
             if not loc or not name:
                 continue  # the Driver base class itself, or uninstrumented
             out[name] = DriverStatics(
@@ -263,23 +228,23 @@ def driver_statics(project: Project) -> dict[str, DriverStatics]:
                 lineno=node.lineno,
                 loc=dict(loc),
                 fn_lines=dict(fn_lines),
-                entry_points=tuple(sorted(entries)),
             )
     return out
 
 
-def compute_dead_tcb_static(
+def compute_dead_tcb(
     project: Project,
     wmap: WorldMap,
     statics: DriverStatics,
     dynamic_hit: frozenset[str],
     reach: StaticReachability | None = None,
 ) -> DeadTcbReport:
-    """Parse-only variant of :func:`compute_dead_tcb`.
+    """Diff static reachability against the union of traced keep-sets.
 
-    LoC figures come from the decorator literals instead of the runtime
-    ``Driver.functions()`` table (they are identical by construction:
-    ``driver_fn`` stores its ``loc`` argument verbatim).
+    ``statics`` (from :func:`driver_statics`) scopes the comparison to the
+    driver's declared functions and their LoC.  ``dynamic_hit`` is the
+    union of functions the kernel tracer observed across the task profiles
+    (plus any always-keep set the plans used).
     """
     if reach is None:
         reach = static_reachability(project, wmap)
@@ -309,7 +274,7 @@ def build_deadtcb_doc(
     reach = static_reachability(project, wmap)
     drivers = {}
     for name, statics in sorted(driver_statics(project).items()):
-        report = compute_dead_tcb_static(
+        report = compute_dead_tcb(
             project, wmap, statics,
             frozenset(dynamic_hits.get(name, frozenset())), reach,
         )
@@ -364,7 +329,7 @@ def check_dead_tcb(project: Project, wmap: WorldMap) -> list[Finding]:
                 f"with `repro tcb --write-deadtcb-baseline`",
             ))
             continue
-        report = compute_dead_tcb_static(
+        report = compute_dead_tcb(
             project, wmap, statics,
             frozenset(entry.get("dynamic_hit", ())), reach,
         )

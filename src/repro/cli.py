@@ -10,7 +10,7 @@ writing Python::
     repro fleet                # N simulated devices, merged fleet telemetry
     repro health               # SLO evaluation + flight-recorder dump
     repro compare              # perf-regression gate vs committed baseline
-    repro tcb                  # trace-and-strip the I2S driver (+ dead-TCB)
+    repro tcb                  # trace-and-strip I2S/USB/camera (+ dead-TCB)
     repro analyze              # world-boundary static analysis gate
     repro models               # architecture comparison table
     repro info                 # platform/memory-map/cost-model summary
@@ -315,164 +315,53 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 def _cmd_tcb(args: argparse.Namespace) -> int:
     import json
 
-    import numpy as np
-
-    from repro.drivers.i2s_driver import I2sDriver
-    from repro.kernel.kernel import I2sCharDevice, Kernel
-    from repro.peripherals.audio import ToneSource
-    from repro.peripherals.i2s import I2sBus, I2sController
-    from repro.peripherals.microphone import DigitalMicrophone
-    from repro.tcb.analyze import TcbAnalyzer
-    from repro.tz.machine import TrustZoneMachine
-    from repro.tz.memory import MemoryRegion, SecurityAttr
-
-    machine = TrustZoneMachine()
-    region = machine.memory.add_region(
-        MemoryRegion("i2s_mmio", 0x0400_0000, 0x1000,
-                     SecurityAttr.NONSECURE, device=True)
+    from repro.analysis.deadtcb import (
+        build_deadtcb_doc,
+        compute_dead_tcb,
+        deadtcb_baseline_path,
+        driver_statics,
+        static_reachability,
     )
-    controller = I2sController(machine.clock, machine.obs.tracer)
-    machine.memory.attach_mmio("i2s_mmio", controller)
-    I2sBus(controller, DigitalMicrophone(ToneSource(), fmt=controller.format))
-    kernel = Kernel(machine)
-    kernel.register_device(
-        "/dev/snd/i2s0",
-        I2sCharDevice(I2sDriver(kernel.driver_host, controller, region)),
-    )
-
-    kernel.tracer.start("record")
-    fd = kernel.sys_open("/dev/snd/i2s0")
-    kernel.sys_ioctl(fd, "OPEN_CAPTURE", 128)
-    kernel.sys_ioctl(fd, "START")
-    raw = kernel.sys_read(fd, 512)
-    kernel.sys_ioctl(fd, "POINTER")
-    kernel.device("/dev/snd/i2s0").driver.encode_chunk(
-        np.frombuffer(raw, dtype="<i2").copy()
-    )
-    kernel.sys_ioctl(fd, "STOP")
-    kernel.sys_ioctl(fd, "CLOSE_PCM")
-    kernel.sys_close(fd)
-    session = kernel.tracer.stop()
-
-    plan = TcbAnalyzer(I2sDriver).analyze(
-        [session], task="record",
-        always_keep=frozenset({"irq_handler", "_handle_overrun"}),
-    )
-    r = plan.report
-    print(f"full driver  : {r.functions_total} functions, {r.loc_total} LoC")
-    print(f"minimized    : {r.functions_kept} functions, {r.loc_kept} LoC")
-    print(f"reduction    : {r.function_reduction_pct:.1f}% functions, "
-          f"{r.loc_reduction_pct:.1f}% LoC")
-    for row in r.rows():
-        print(f"  {row['subsystem']:10s} {row['loc_kept']:>5d}/"
-              f"{row['loc_total']:<5d} LoC kept")
-
-    # Static complement: driver functions the TA can reach that this
-    # traced task never executed (the dead-TCB cross-check).
-    from repro.analysis.deadtcb import compute_dead_tcb
     from repro.analysis.modgraph import load_project
     from repro.analysis.worlds import DEFAULT_WORLD_MAP
+    from repro.tcb.analyze import TcbAnalyzer
+    from repro.tcb.tasks import traced_tasks
 
+    # Trace each driver's task and strip it, then size the static
+    # complement: driver functions the TA can reach that the traced task
+    # never executed (the dead-TCB cross-check).
     project = load_project(pathlib.Path(__file__).resolve().parent)
-    dead = compute_dead_tcb(
-        project, DEFAULT_WORLD_MAP, I2sDriver, dynamic_hit=plan.keep
-    )
-    print(f"dead TCB     : {len(dead.dead)}/{len(dead.static_reachable)} "
-          f"statically reachable functions never traced "
-          f"({dead.dead_loc} LoC)")
-    for fn in dead.dead:
-        print(f"  dead       {fn} ({dead.loc.get(fn, 0)} LoC)")
-
-    # Same cross-check for the USB audio driver, whose read path the
-    # hot-path benchmark now exercises: trace the same record task over
-    # the (heavier) USB stack and size its never-traced remainder.
-    from repro.drivers.hosting import KernelDriverHost
-    from repro.drivers.usb_audio_driver import UsbAudioDriver
-    from repro.kernel.tracer import FunctionTracer
-    from repro.peripherals.usb import UsbAudioMicrophone, UsbBus
-
-    usb_machine = TrustZoneMachine()
-    usb_bus = UsbBus(usb_machine.clock, UsbAudioMicrophone(ToneSource()))
-    usb_host = KernelDriverHost(usb_machine)
-    usb_driver = UsbAudioDriver(usb_host, usb_bus)
-    usb_tracer = FunctionTracer()
-    usb_host.attach_tracer(usb_tracer)
-    usb_tracer.start("record")
-    usb_driver.probe()
-    usb_driver.pcm_open_capture(128)
-    usb_driver.trigger_start()
-    usb_driver.read_chunk()
-    usb_driver.trigger_stop()
-    usb_driver.pcm_close()
-    usb_session = usb_tracer.stop()
-
-    usb_plan = TcbAnalyzer(UsbAudioDriver).analyze(
-        [usb_session], task="record",
-        always_keep=frozenset({"_handle_stall", "clear_halt"}),
-    )
-    ur = usb_plan.report
-    print(f"\nusb driver   : {ur.functions_total} functions, {ur.loc_total} LoC")
-    print(f"usb minimized: {ur.functions_kept} functions, {ur.loc_kept} LoC "
-          f"({ur.loc_reduction_pct:.1f}% LoC reduction)")
-    usb_dead = compute_dead_tcb(
-        project, DEFAULT_WORLD_MAP, UsbAudioDriver, dynamic_hit=usb_plan.keep
-    )
-    print(f"usb dead TCB : {len(usb_dead.dead)}/{len(usb_dead.static_reachable)} "
-          f"statically reachable functions never traced "
-          f"({usb_dead.dead_loc} LoC)")
-    for fn in usb_dead.dead:
-        print(f"  dead       {fn} ({usb_dead.loc.get(fn, 0)} LoC)")
-
-    # And for the camera driver, tracing the image-branch capture task
-    # (probe → stream → single frame + block capture → teardown).
-    from repro.drivers.camera_driver import CameraDriver
-    from repro.peripherals.camera import Camera, SyntheticScene
-    from repro.sim.rng import SimRng
-
-    cam_machine = TrustZoneMachine()
-    camera = Camera(SyntheticScene(SimRng(args.seed)), width=16, height=12)
-    cam_host = KernelDriverHost(cam_machine)
-    cam_driver = CameraDriver(cam_host, camera)
-    cam_tracer = FunctionTracer()
-    cam_host.attach_tracer(cam_tracer)
-    cam_tracer.start("camera")
-    cam_driver.probe()
-    cam_driver.stream_on()
-    cam_driver.capture_frame()
-    cam_driver.capture_frames(4)
-    cam_driver.stream_off()
-    cam_driver.remove()
-    cam_session = cam_tracer.stop()
-
-    cam_plan = TcbAnalyzer(CameraDriver).analyze(
-        [cam_session], task="camera",
-        always_keep=frozenset({"remove"}),
-    )
-    cr = cam_plan.report
-    print(f"\ncam driver   : {cr.functions_total} functions, {cr.loc_total} LoC")
-    print(f"cam minimized: {cr.functions_kept} functions, {cr.loc_kept} LoC "
-          f"({cr.loc_reduction_pct:.1f}% LoC reduction)")
-    cam_dead = compute_dead_tcb(
-        project, DEFAULT_WORLD_MAP, CameraDriver, dynamic_hit=cam_plan.keep
-    )
-    print(f"cam dead TCB : {len(cam_dead.dead)}/{len(cam_dead.static_reachable)} "
-          f"statically reachable functions never traced "
-          f"({cam_dead.dead_loc} LoC)")
-    for fn in cam_dead.dead:
-        print(f"  dead       {fn} ({cam_dead.loc.get(fn, 0)} LoC)")
+    statics = driver_statics(project)
+    reach = static_reachability(project, DEFAULT_WORLD_MAP)
+    dynamic_hits = {}
+    for i, (driver_class, session, always_keep) in enumerate(
+        traced_tasks(args.seed)
+    ):
+        plan = TcbAnalyzer(driver_class).analyze(
+            [session], task=session.task, always_keep=always_keep
+        )
+        dynamic_hits[driver_class.NAME] = plan.keep
+        r = plan.report
+        if i:
+            print()
+        print(f"driver       : {driver_class.NAME} (task {session.task!r})")
+        print(f"full driver  : {r.functions_total} functions, {r.loc_total} LoC")
+        print(f"minimized    : {r.functions_kept} functions, {r.loc_kept} LoC")
+        print(f"reduction    : {r.function_reduction_pct:.1f}% functions, "
+              f"{r.loc_reduction_pct:.1f}% LoC")
+        for row in r.rows():
+            print(f"  {row['subsystem']:10s} {row['loc_kept']:>5d}/"
+                  f"{row['loc_total']:<5d} LoC kept")
+        dead = compute_dead_tcb(project, DEFAULT_WORLD_MAP,
+                                statics[driver_class.NAME], plan.keep, reach)
+        print(f"dead TCB     : {len(dead.dead)}/{len(dead.static_reachable)} "
+              f"statically reachable functions never traced "
+              f"({dead.dead_loc} LoC)")
+        for fn in dead.dead:
+            print(f"  dead       {fn} ({dead.loc.get(fn, 0)} LoC)")
 
     # Dead-TCB regression baseline: the committed document the analyzer's
     # T001 gate (and CI) diff against.
-    from repro.analysis.deadtcb import (
-        build_deadtcb_doc,
-        deadtcb_baseline_path,
-    )
-
-    dynamic_hits = {
-        I2sDriver.NAME: plan.keep,
-        UsbAudioDriver.NAME: usb_plan.keep,
-        CameraDriver.NAME: cam_plan.keep,
-    }
     doc = build_deadtcb_doc(project, DEFAULT_WORLD_MAP, dynamic_hits)
     default_path = deadtcb_baseline_path(project)
 

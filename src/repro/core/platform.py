@@ -9,7 +9,7 @@ an energy meter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cloud.service import IngestionConfig, VoiceCloudService
 from repro.energy.model import EnergyMeter, PowerModel
@@ -54,7 +54,7 @@ class IotPlatform:
     @classmethod
     def create(
         cls,
-        seed: int = 42,
+        seed: int | None = None,
         machine_config: MachineConfig | None = None,
         audio_format: AudioFormat | None = None,
         i2s_fifo_depth: int = 64,
@@ -65,6 +65,10 @@ class IotPlatform:
         ingestion: IngestionConfig = IngestionConfig.unthrottled(),
     ) -> "IotPlatform":
         """Build the device.
+
+        ``seed`` overrides the master seed of ``machine_config`` (applied
+        to a copy, so the caller's config is untouched); ``None`` keeps the
+        config's own ``sim.seed``, 42 by default.
 
         The I²S controller gets its own MMIO partition (``i2s_mmio``) so
         the secure design can claim exactly that peripheral without
@@ -86,8 +90,8 @@ class IotPlatform:
         accepted event at admission.
         """
         config = machine_config or MachineConfig()
-        if seed != 42 and machine_config is None:
-            config.sim.seed = seed
+        if seed is not None:
+            config = replace(config, sim=replace(config.sim, seed=seed))
         machine = TrustZoneMachine(config)
         rng = machine.rng
         if secure_faults is not None and secure_faults.enabled:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from repro.drivers.hosting import SecureDriverHost
-from repro.drivers.i2s_driver import I2sDriver
+from repro.drivers.i2s_driver import STALL_BUDGET, I2sDriver
 from repro.errors import DeviceStateError, TeeBadParameters
 from repro.optee.pta import PseudoTa
 from repro.peripherals.i2s import I2sController
@@ -52,13 +52,6 @@ class SecureAudioPta(PseudoTa):
     """Hosts the secure I²S driver behind a PTA command interface."""
 
     NAME = "pta.secure-audio"
-
-    STALL_BUDGET = 3
-    """Consecutive empty chunk reads tolerated before the PTA declares the
-    capture stream stalled.  ``read_chunk`` blocks for a full period of
-    real capture time, so even one empty return means the controller
-    produced nothing for an entire period — three in a row is a dead or
-    disabled device, not scheduling jitter."""
 
     def __init__(self, controller: I2sController, mmio_region: MemoryRegion):
         super().__init__()
@@ -147,11 +140,8 @@ class SecureAudioPta(PseudoTa):
             while filled < frames:
                 pcm = self.driver.read_chunk()
                 if len(pcm) == 0:
-                    # A stalled controller (disabled RX, dead clock, fault
-                    # injection) returns empty chunks forever; without a
-                    # budget this loop never terminates.
                     empty_reads += 1
-                    if empty_reads >= self.STALL_BUDGET:
+                    if empty_reads >= STALL_BUDGET:
                         raise DeviceStateError(
                             f"secure audio capture stalled: {empty_reads} "
                             f"consecutive empty reads at {filled}/{frames} "

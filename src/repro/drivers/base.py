@@ -4,10 +4,9 @@ Two of the paper's mechanisms hang off this module:
 
 1. **Tracing (research plan item 2).**  Every driver entry point and
    internal helper is declared with :func:`driver_fn`.  Calling it notifies
-   the host's tracer (when one is attached) with the function name and its
-   caller, exactly like the kernel ftrace logging the paper describes:
-   "logging of driver function calls when a particular task ... is being
-   executed".
+   the host's tracer (when one is recording) with the function's metadata,
+   exactly like the kernel ftrace logging the paper describes: "logging of
+   driver function calls when a particular task ... is being executed".
 
 2. **Conditional compilation.**  A driver *build* may exclude functions
    (``compiled_out``); invoking an excluded function raises, modelling the
@@ -59,8 +58,9 @@ def driver_fn(
         Grouping label (``"pcm"``, ``"clock"``, ``"power"``, ...) used in
         TCB breakdowns.
     entry_point:
-        True for functions callable from outside the driver (the tracer
-        treats calls to them as new call-stack roots).
+        True for functions callable from outside the driver (the char
+        device, the PTA).  Descriptive only: neither the tracer nor the
+        TCB analyzer reads it.
     """
 
     def decorate(fn: Callable) -> Callable:
@@ -82,9 +82,9 @@ class Driver:
     """Base class for instrumented drivers.
 
     Subclasses define functionality as ``@driver_fn``-decorated methods.
-    The base class maintains the live call stack (for caller attribution in
-    traces), charges per-call bookkeeping cycles, and enforces the
-    compiled-out set of a minimized build.
+    Each call passes through the host's ``on_driver_call`` hook (per-call
+    bookkeeping cycles, plus the trace record while a tracer is recording)
+    and the compiled-out check of a minimized build.
     """
 
     NAME = "driver.base"
@@ -92,8 +92,6 @@ class Driver:
     def __init__(self, host: "DriverHost", compiled_out: frozenset[str] = frozenset()):
         self.host = host
         self.compiled_out = frozenset(compiled_out)
-        self._call_stack: list[str] = []
-        self.call_counts: dict[str, int] = {}
 
     # -- introspection ---------------------------------------------------------
 
@@ -130,18 +128,10 @@ class Driver:
         args: tuple,
         kwargs: dict,
     ) -> Any:
-        name = info.name
-        if name in self.compiled_out:
+        if info.name in self.compiled_out:
             raise DriverError(
-                f"{self.NAME}: function {name!r} was compiled out of "
+                f"{self.NAME}: function {info.name!r} was compiled out of "
                 f"this build"
             )
-        stack = self._call_stack
-        self.host.on_driver_call(self.NAME, info, stack[-1] if stack else None)
-        counts = self.call_counts
-        counts[name] = counts.get(name, 0) + 1
-        stack.append(name)
-        try:
-            return fn(self, *args, **kwargs)
-        finally:
-            stack.pop()
+        self.host.on_driver_call(self.NAME, info)
+        return fn(self, *args, **kwargs)

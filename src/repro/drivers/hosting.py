@@ -45,9 +45,7 @@ class DriverHost(Protocol):
 
     def compute(self, cycles: int) -> None: ...
 
-    def on_driver_call(
-        self, driver: str, info: DriverFunctionInfo, caller: str | None
-    ) -> None: ...
+    def on_driver_call(self, driver: str, info: DriverFunctionInfo) -> None: ...
 
 
 class KernelDriverHost:
@@ -91,13 +89,11 @@ class KernelDriverHost:
         """Charge normal-world CPU work."""
         self.machine.clock.advance(cycles, World.NORMAL.domain)
 
-    def on_driver_call(
-        self, driver: str, info: DriverFunctionInfo, caller: str | None
-    ) -> None:
+    def on_driver_call(self, driver: str, info: DriverFunctionInfo) -> None:
         """Bookkeeping + ftrace hook for one driver function call."""
         self.compute(self.machine.costs.driver_call_cycles)
         if self.tracer is not None and self.tracer.active:
-            self.tracer.record(driver, info, caller)
+            self.tracer.record(driver, info)
 
 
 class SecureDriverHost:
@@ -143,12 +139,10 @@ class SecureDriverHost:
         """Charge secure-world CPU work (the PTA runs in the secure world)."""
         self.machine.cpu.execute(cycles)
 
-    def on_driver_call(
-        self, driver: str, info: DriverFunctionInfo, caller: str | None
-    ) -> None:
+    def on_driver_call(self, driver: str, info: DriverFunctionInfo) -> None:
         """Bookkeeping + optional tracing for one driver function call."""
         machine = self.machine
         machine.cpu.execute(machine.costs.driver_call_cycles)
         tracer = self.tracer
         if tracer is not None and tracer.active:
-            tracer.record(driver, info, caller)
+            tracer.record(driver, info)

@@ -34,6 +34,14 @@ from repro.peripherals.dma import DmaEngine
 from repro.peripherals.i2s import CtrlBits, I2sController, I2sReg, StatusBits
 from repro.tz.memory import MemoryRegion
 
+STALL_BUDGET = 3
+"""Consecutive empty ``read_chunk`` periods a capture loop tolerates
+before it declares the stream stalled.  ``read_chunk`` blocks for a full
+period of real capture time, so even one empty return means the
+controller produced nothing for an entire period; three in a row is a
+dead or disabled device (RX off, dead clock, fault injection), not
+scheduling jitter.  Without a budget such a loop never terminates."""
+
 
 class I2sDriver(Driver):
     """Instrumented I²S capture/playback driver."""

@@ -15,7 +15,7 @@ from typing import Any, Protocol
 import numpy as np
 
 from repro.drivers.hosting import KernelDriverHost
-from repro.drivers.i2s_driver import I2sDriver
+from repro.drivers.i2s_driver import STALL_BUDGET, I2sDriver
 from repro.errors import DeviceNotFound, SyscallError
 from repro.kernel.tracer import FunctionTracer
 from repro.tz.machine import TrustZoneMachine
@@ -65,13 +65,26 @@ class I2sCharDevice:
         self._open = True
 
     def dev_read(self, n: int) -> bytes:
-        """Read ``n`` bytes of captured PCM (captures chunks on demand)."""
+        """Read ``n`` bytes of captured PCM (captures chunks on demand).
+
+        ``STALL_BUDGET`` empty periods in a row fail the read with ``EIO``.
+        """
         if not self._open:
             raise SyscallError("EBADF", "device not open")
         if self.driver.state != "capturing":
             raise SyscallError("EINVAL", "capture not started")
+        empty_reads = 0
         while len(self._pending) < n:
             pcm = self.driver.read_chunk()
+            if len(pcm) == 0:
+                empty_reads += 1
+                if empty_reads >= STALL_BUDGET:
+                    raise SyscallError(
+                        "EIO", f"capture stalled: {empty_reads} consecutive "
+                        f"empty periods at {len(self._pending)}/{n} bytes"
+                    )
+                continue
+            empty_reads = 0
             self._pending += pcm.astype("<i2").tobytes()
         out, self._pending = self._pending[:n], self._pending[n:]
         return out

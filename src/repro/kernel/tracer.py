@@ -7,10 +7,10 @@ function calls when a particular task, e.g., recording a sound, is being
 executed."
 
 Drivers emit call records through their host's ``on_driver_call`` hook;
-while a trace session is active, each record lands here with caller
-attribution.  The resulting :class:`TraceSession` is the input to the TCB
-analyzer (:mod:`repro.tcb`), which computes the minimal function set and
-the conditional-compilation projection.
+while a trace session is active, each record lands here.  The set of
+functions a :class:`TraceSession` saw is the input to the TCB analyzer
+(:mod:`repro.tcb`): that set plus an explicit keep-list is the minimal
+build, and the rest is compiled out.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class CallRecord:
 
     driver: str
     fn: str
-    caller: str | None
     loc: int
     subsystem: str
 
@@ -43,14 +42,6 @@ class TraceSession:
         """Distinct functions the task executed (optionally per driver)."""
         return {
             r.fn for r in self.records if driver is None or r.driver == driver
-        }
-
-    def call_edges(self, driver: str | None = None) -> set[tuple[str | None, str]]:
-        """Distinct (caller, callee) edges observed."""
-        return {
-            (r.caller, r.fn)
-            for r in self.records
-            if driver is None or r.driver == driver
         }
 
     def loc_used(self, driver: str | None = None) -> int:
@@ -89,9 +80,7 @@ class FunctionTracer:
             )
         self._current = TraceSession(task=task)
 
-    def record(
-        self, driver: str, info: DriverFunctionInfo, caller: str | None
-    ) -> None:
+    def record(self, driver: str, info: DriverFunctionInfo) -> None:
         """Log one call (invoked from the driver host hook)."""
         if self._current is None:
             return
@@ -99,7 +88,6 @@ class FunctionTracer:
             CallRecord(
                 driver=driver,
                 fn=info.name,
-                caller=caller,
                 loc=info.loc,
                 subsystem=info.subsystem,
             )

@@ -44,8 +44,8 @@ class StoreForwardQueue:
 
     The queue is *bounded* at ``max_depth`` entries and fails **closed**:
     a full queue refuses the new enqueue
-    (:class:`~repro.errors.RelayQueueFullError`, counted in
-    :attr:`rejected`) instead of growing without limit or silently
+    (:class:`~repro.errors.RelayQueueFullError`; the TA counts it as
+    ``relay.queue.rejected``) instead of growing without limit or silently
     evicting an older entry.  Refusing the newest is the deterministic
     choice — every entry already in the queue was committed and accounted
     before the new one existed, so eviction would retroactively lose a
@@ -68,7 +68,6 @@ class StoreForwardQueue:
         self._seq = (
             int(self._names[-1][len(_QUEUE_PREFIX):]) + 1 if self._names else 0
         )
-        self.rejected = 0
 
     def __len__(self) -> int:
         return len(self._names)
@@ -90,7 +89,6 @@ class StoreForwardQueue:
         if meta and "payload" in meta:
             raise ValueError('meta key "payload" is reserved')
         if len(self._names) >= self.max_depth:
-            self.rejected += 1
             raise RelayQueueFullError(depth=len(self._names))
         name = f"{_QUEUE_PREFIX}{self._seq:08d}"
         self._seq += 1

@@ -7,15 +7,15 @@ compilation "to selectively exclude driver functions which are not
 required for the task from being compiled and included in the final
 OP-TEE image".
 
-Pipeline: :class:`~repro.kernel.tracer.TraceSession` →
-:class:`~repro.tcb.analyze.TcbAnalyzer` →
+Pipeline: :mod:`~repro.tcb.tasks` (the traced tasks) →
+:class:`~repro.kernel.tracer.TraceSession` →
+:class:`~repro.tcb.analyze.TcbAnalyzer` (keep = traced ∪ always-keep) →
 :class:`~repro.tcb.minimize.MinimizedBuild` →
 :class:`~repro.tcb.metrics.TcbReport`.
 """
 
 from repro.tcb.analyze import MinimizationPlan, TcbAnalyzer
-from repro.tcb.callgraph import CallGraph
 from repro.tcb.metrics import TcbReport
 from repro.tcb.minimize import MinimizedBuild
 
-__all__ = ["CallGraph", "MinimizationPlan", "MinimizedBuild", "TcbAnalyzer", "TcbReport"]
+__all__ = ["MinimizationPlan", "MinimizedBuild", "TcbAnalyzer", "TcbReport"]

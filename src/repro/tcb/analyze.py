@@ -3,12 +3,11 @@
 "The logs are then analyzed to identify a minimal set of executed
 functions necessary for the task to complete" (paper, research plan 2).
 
-The analyzer unions the functions observed across the given trace
-sessions, closes over observed call edges from the roots (defensive: a
-record could be lost to ring-buffer overruns on real ftrace; closure keeps
-chains intact), and optionally adds a caller-specified keep-list for
-functions that run rarely but must survive (e.g. the overrun IRQ handler,
-which a clean trace never exercises).
+The plan keeps exactly the declared functions the trace sessions saw,
+plus a caller-specified keep-list for functions that run rarely but must
+survive (e.g. the overrun IRQ handler, which a clean trace never
+exercises).  A function whose only record was lost (a ring-buffer overrun
+on real ftrace) is not kept: the keep-list or a re-trace must restore it.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from dataclasses import dataclass, field
 
 from repro.drivers.base import Driver
 from repro.kernel.tracer import TraceSession
-from repro.tcb.callgraph import CallGraph
 from repro.tcb.metrics import TcbReport
 
 
@@ -37,7 +35,7 @@ class TcbAnalyzer:
 
     def __init__(self, driver_class: type[Driver]):
         self.driver_class = driver_class
-        self.static_graph = CallGraph.static_of(driver_class)
+        self.declared = frozenset(driver_class.functions())
 
     def analyze(
         self,
@@ -49,28 +47,17 @@ class TcbAnalyzer:
 
         ``always_keep`` names functions to retain regardless of the trace
         (rare paths like error/IRQ handlers); unknown names raise so a
-        typo cannot silently keep nothing.
+        typo cannot silently keep nothing.  Records of other drivers, or
+        of functions this driver does not declare, are ignored.
         """
-        declared = set(self.static_graph.nodes)
-        unknown = always_keep - declared
+        unknown = always_keep - self.declared
         if unknown:
             raise ValueError(
                 f"always_keep names unknown functions: {sorted(unknown)}"
             )
-
-        dynamic = CallGraph.dynamic_of(self.driver_class, sessions)
-        observed = set(dynamic.nodes)
-        closed = dynamic.reachable_from(dynamic.roots()) | observed
-        keep = frozenset(closed | always_keep)
-        compiled_out = frozenset(declared - keep)
-        report = TcbReport.compute(self.driver_class, keep)
-        return MinimizationPlan(
-            driver=self.driver_class.NAME,
-            task=task,
-            keep=keep,
-            compiled_out=compiled_out,
-            report=report,
-        )
+        name = self.driver_class.NAME
+        traced = set().union(*(s.functions_used(name) for s in sessions))
+        return self._plan(task, (self.declared & traced) | always_keep)
 
     def analyze_union(
         self,
@@ -78,13 +65,13 @@ class TcbAnalyzer:
         task: str = "union",
     ) -> MinimizationPlan:
         """Merge plans for several tasks into one build supporting all."""
-        keep = frozenset().union(*(p.keep for p in plans)) if plans else frozenset()
-        declared = frozenset(self.static_graph.nodes)
-        report = TcbReport.compute(self.driver_class, keep)
+        return self._plan(task, frozenset().union(*(p.keep for p in plans)))
+
+    def _plan(self, task: str, keep: frozenset[str]) -> MinimizationPlan:
         return MinimizationPlan(
             driver=self.driver_class.NAME,
             task=task,
             keep=keep,
-            compiled_out=declared - keep,
-            report=report,
+            compiled_out=self.declared - keep,
+            report=TcbReport.compute(self.driver_class, keep),
         )

@@ -7,10 +7,8 @@ import shutil
 import pytest
 
 from repro.analysis.deadtcb import (
-    DeadTcbReport,
     check_dead_tcb,
     compute_dead_tcb,
-    compute_dead_tcb_static,
     driver_statics,
     static_reachability,
 )
@@ -19,13 +17,20 @@ from repro.analysis.worlds import DEFAULT_WORLD_MAP
 from repro.drivers.camera_driver import CameraDriver
 from repro.drivers.i2s_driver import I2sDriver
 from repro.drivers.usb_audio_driver import UsbAudioDriver
-from repro.tcb.report import render_dead_tcb, render_dead_tcb_delta
 
 REPO_PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def _project():
     return load_project(REPO_PACKAGE)
+
+
+def _i2s_dead_tcb(dynamic_hit):
+    project = _project()
+    return compute_dead_tcb(
+        project, DEFAULT_WORLD_MAP, driver_statics(project)[I2sDriver.NAME],
+        dynamic_hit,
+    )
 
 
 class TestStaticReachability:
@@ -41,63 +46,25 @@ class TestStaticReachability:
 
 class TestDeadTcb:
     def test_empty_dynamic_set_makes_everything_dead(self):
-        report = compute_dead_tcb(
-            _project(), DEFAULT_WORLD_MAP, I2sDriver, frozenset()
-        )
+        report = _i2s_dead_tcb(frozenset())
         assert report.static_reachable
         assert set(report.dead) == set(report.static_reachable)
         assert report.dead_loc == report.static_loc > 0
 
     def test_fully_traced_driver_has_no_dead_tcb(self):
-        report = compute_dead_tcb(
-            _project(), DEFAULT_WORLD_MAP, I2sDriver,
-            frozenset(I2sDriver.functions()),
-        )
+        report = _i2s_dead_tcb(frozenset(I2sDriver.functions()))
         assert report.dead == ()
 
     def test_dynamic_hit_restricted_to_driver_functions(self):
-        report = compute_dead_tcb(
-            _project(), DEFAULT_WORLD_MAP, I2sDriver,
-            frozenset({"read_chunk", "not_a_driver_fn"}),
-        )
+        report = _i2s_dead_tcb(frozenset({"read_chunk", "not_a_driver_fn"}))
         assert "not_a_driver_fn" not in report.dynamic_hit
 
     def test_to_doc_round_trips_counts(self):
-        report = compute_dead_tcb(
-            _project(), DEFAULT_WORLD_MAP, I2sDriver, frozenset({"read_chunk"})
-        )
+        report = _i2s_dead_tcb(frozenset({"read_chunk"}))
         doc = report.to_doc()
         assert doc["driver"] == I2sDriver.NAME
         assert len(doc["dead"]) == len(report.dead)
         assert doc["dead_loc"] == report.dead_loc
-
-
-class TestRenderDeadTcb:
-    def test_markdown_sections(self):
-        report = DeadTcbReport(
-            driver="i2s",
-            entry_points=("m:Ta.on_invoke",),
-            loc={"a": 10, "b": 20, "c": 5},
-            static_reachable=frozenset({"a", "b"}),
-            dynamic_hit=frozenset({"b", "c"}),
-        )
-        text = render_dead_tcb(report)
-        assert "Dead-TCB cross-check" in text
-        assert "`a` (10 LoC)" in text          # dead
-        assert "static blind spots" in text    # c traced but unreachable
-        assert "`c`" in text
-
-    def test_no_dead_renders_placeholder(self):
-        report = DeadTcbReport(
-            driver="i2s",
-            entry_points=(),
-            loc={"a": 10},
-            static_reachable=frozenset({"a"}),
-            dynamic_hit=frozenset({"a"}),
-        )
-        assert "every reachable function is exercised" in (
-            render_dead_tcb(report)
-        )
 
 
 class TestDriverStatics:
@@ -116,18 +83,6 @@ class TestDriverStatics:
         assert set(driver_statics(_project())) >= {
             I2sDriver.NAME, UsbAudioDriver.NAME, CameraDriver.NAME,
         }
-
-    def test_static_variant_agrees_with_runtime_variant(self):
-        project = _project()
-        statics = driver_statics(project)[I2sDriver.NAME]
-        hit = frozenset({"probe", "read_chunk"})
-        runtime_rep = compute_dead_tcb(
-            project, DEFAULT_WORLD_MAP, I2sDriver, hit)
-        static_rep = compute_dead_tcb_static(
-            project, DEFAULT_WORLD_MAP, statics, hit)
-        assert static_rep.dead == runtime_rep.dead
-        assert static_rep.dead_loc == runtime_rep.dead_loc
-        assert static_rep.static_reachable == runtime_rep.static_reachable
 
 
 class TestDeadTcbGate:
@@ -185,30 +140,3 @@ class TestDeadTcbGate:
         # gate only rejects *growth*, not the standing accepted debt.
         findings = check_dead_tcb(load_project(repo_copy), DEFAULT_WORLD_MAP)
         assert not [f for f in findings if I2sDriver.NAME in f.anchor]
-
-
-class TestRenderDeadTcbDelta:
-    def _report(self, dead, loc):
-        return DeadTcbReport(
-            driver="tegra-i2s",
-            entry_points=(),
-            loc=loc,
-            static_reachable=frozenset(loc),
-            dynamic_hit=frozenset(loc) - frozenset(dead),
-        )
-
-    def test_regression_rows_rendered(self):
-        report = self._report({"a", "b"}, {"a": 10, "b": 20, "c": 5})
-        text = render_dead_tcb_delta(report, {"dead": ["a"], "dead_loc": 10})
-        assert "REGRESSION `b` (20 LoC)" in text
-        assert "**30** now vs **10** at baseline (+20)" in text
-
-    def test_fixed_entries_suggest_regeneration(self):
-        report = self._report(set(), {"a": 10})
-        text = render_dead_tcb_delta(report, {"dead": ["a"], "dead_loc": 10})
-        assert "fixed `a`" in text
-
-    def test_no_drift_placeholder(self):
-        report = self._report({"a"}, {"a": 10})
-        text = render_dead_tcb_delta(report, {"dead": ["a"], "dead_loc": 10})
-        assert "no drift" in text

@@ -18,7 +18,7 @@ import pytest
 from repro.core.pta_audio import CMD_INIT, SecureAudioPta
 from repro.drivers.conformance import run_capture_conformance
 from repro.drivers.hosting import KernelDriverHost
-from repro.drivers.i2s_driver import I2sDriver
+from repro.drivers.i2s_driver import STALL_BUDGET, I2sDriver
 from repro.errors import (
     BusProtocolError,
     DeviceStateError,
@@ -113,7 +113,7 @@ class TestPtaStallBudget:
             def flaky_read_chunk():
                 reads["n"] += 1
                 # Stall for the first STALL_BUDGET - 1 reads, then recover.
-                if reads["n"] < SecureAudioPta.STALL_BUDGET:
+                if reads["n"] < STALL_BUDGET:
                     controller._ctrl = int(CtrlBits.ENABLE)
                 else:
                     controller._ctrl = live_ctrl

@@ -152,13 +152,11 @@ class TestMinimizedDriverDeployment:
         """Trace the task baseline-side, strip, deploy secure-side."""
         from repro.drivers.i2s_driver import I2sDriver
         from repro.tcb.analyze import TcbAnalyzer
-        from tests.test_tcb import build_rig, trace_record_task
+        from repro.tcb.tasks import I2S_ALWAYS_KEEP, i2s_rig, trace_i2s
 
-        _, kernel, _, _ = build_rig()
-        session = trace_record_task(kernel)
+        session = trace_i2s(i2s_rig()[0])
         plan = TcbAnalyzer(I2sDriver).analyze(
-            [session], task="record",
-            always_keep=frozenset({"irq_handler", "_handle_overrun"}),
+            [session], task="record", always_keep=I2S_ALWAYS_KEEP,
         )
 
         platform = IotPlatform.create(seed=35)

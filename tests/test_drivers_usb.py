@@ -182,28 +182,14 @@ class TestProtocolComplexityClaim:
         USB capture cannot shed enumeration — the paper's lightweight
         argument, quantified.
         """
-        from repro.kernel.tracer import FunctionTracer
-        from repro.tcb.analyze import TcbAnalyzer
-
-        machine, _, _, driver = usb_rig
-        tracer = FunctionTracer()
-        driver.host.attach_tracer(tracer)
-        tracer.start("usb-record")
-        driver.probe()
-        driver.pcm_open_capture(128)
-        driver.trigger_start()
-        driver.read_chunk()
-        driver.trigger_stop()
-        driver.pcm_close()
-        session = tracer.stop()
-        plan = TcbAnalyzer(UsbAudioDriver).analyze([session], task="usb-record")
-
-        from tests.test_tcb import build_rig, trace_record_task
-
-        _, kernel, _, _ = build_rig()
-        i2s_session = trace_record_task(kernel)
         from repro.drivers.i2s_driver import I2sDriver
+        from repro.tcb.analyze import TcbAnalyzer
+        from repro.tcb.tasks import i2s_rig, trace_i2s, trace_usb_record
 
+        _, _, _, driver = usb_rig
+        session = trace_usb_record(driver)
+        plan = TcbAnalyzer(UsbAudioDriver).analyze([session], task="record")
+        i2s_session = trace_i2s(i2s_rig()[0])
         i2s_plan = TcbAnalyzer(I2sDriver).analyze([i2s_session], task="record")
         assert plan.report.loc_kept > 1.5 * i2s_plan.report.loc_kept
 

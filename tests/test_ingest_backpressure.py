@@ -614,7 +614,6 @@ class TestBoundedQueue:
         with pytest.raises(RelayQueueFullError) as excinfo:
             queue.enqueue("c")
         assert excinfo.value.depth == 2
-        assert queue.rejected == 1
         # Fail-closed means deterministic: the accounted entries stay,
         # nothing was evicted and nothing partial hit storage.
         assert queue.names == ["relayq/00000000", "relayq/00000001"]

@@ -173,9 +173,8 @@ class TestTcbReductionClaim:
         """Paper: 'just part of a large driver code base could be used'."""
         from repro.drivers.i2s_driver import I2sDriver
         from repro.tcb.analyze import TcbAnalyzer
-        from tests.test_tcb import build_rig, trace_record_task
+        from repro.tcb.tasks import i2s_rig, trace_i2s
 
-        _, kernel, _, _ = build_rig()
-        session = trace_record_task(kernel)
+        session = trace_i2s(i2s_rig()[0])
         plan = TcbAnalyzer(I2sDriver).analyze([session], task="record")
         assert plan.report.loc_kept < I2sDriver.total_loc() / 2

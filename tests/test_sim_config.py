@@ -28,6 +28,28 @@ class TestSimConfig:
         assert machine.rng.seed == 77
 
 
+class TestPlatformSeed:
+    """``IotPlatform.create`` honours ``seed`` with or without a config."""
+
+    def test_seed_applies_to_given_config_without_mutating_it(self):
+        from repro.core.platform import IotPlatform
+        from repro.tz.machine import MachineConfig
+
+        config = MachineConfig()
+        platform = IotPlatform.create(seed=7, machine_config=config)
+        assert platform.rng.seed == 7
+        assert platform.machine.config.sim.seed == 7
+        assert config.sim.seed == 42
+
+    def test_no_seed_means_the_config_seed(self):
+        from repro.core.platform import IotPlatform
+        from repro.tz.machine import MachineConfig
+
+        assert IotPlatform.create().rng.seed == 42
+        config = MachineConfig(sim=SimConfig(seed=9))
+        assert IotPlatform.create(machine_config=config).rng.seed == 9
+
+
 class TestRelayModule:
     """Direct RelayModule behaviour (indirectly exercised via pipelines)."""
 
