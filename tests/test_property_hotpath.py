@@ -7,10 +7,14 @@ reference loops preserved in :mod:`repro.drivers.reference`.  The int16
 streams must be bit-identical for arbitrary FIFO levels, gains and chunk
 sizes — including the ``0x8000`` sign-extension edge (``-32768`` has no
 positive counterpart, the classic vectorization bug).
+
+The VAD, matched-filter decode and word-grid aligner are held to their
+pre-vectorization loops the same way; the aligner's scores must be equal,
+not close, and a sha256 of its offsets over a fixed corpus is pinned.
 """
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.drivers.hosting import KernelDriverHost
 from repro.drivers.i2s_driver import I2sDriver
@@ -230,3 +234,190 @@ def test_property_asr_decode_matches_scalar(asr, text_words, offset, seed):
     scalar_words, scalar_score = _decode_at_scalar(asr, signal, offset)
     assert vector_words == scalar_words
     assert np.isclose(vector_score, scalar_score, rtol=1e-5, atol=1e-6)
+
+
+def _find_alignment_scalar(asr, signal):
+    """The pre-batching aligner: one ``np.dot`` per envelope shift and one
+    matvec per refine window.
+
+    The body of ``MatchedFilterAsr._find_alignment`` before it was batched,
+    with ``self`` as ``asr``.  It also returns the envelope scores and each
+    candidate's refine total (``None, None`` for a segment too short to
+    align) so the property can compare every stage, not only the offset.
+    """
+    from repro.ml.asr import GAP_SAMPLES, SAMPLES_PER_WORD, WORD_STRIDE
+
+    if len(signal) < 2 * WORD_STRIDE:
+        return None, None, 0
+    amplitude = np.abs(signal)
+    usable = (len(amplitude) // WORD_STRIDE) * WORD_STRIDE
+    folded = amplitude[:usable].reshape(-1, WORD_STRIDE).mean(axis=0)
+    envelope = np.concatenate(
+        [np.hanning(SAMPLES_PER_WORD).astype(np.float32),
+         np.zeros(GAP_SAMPLES, dtype=np.float32)]
+    )
+    # np.roll(folded, -shift) materializes a copy per shift; a doubled
+    # buffer makes each rotation a contiguous slice over the same
+    # values in the same order, so every dot product is bit-identical
+    # to the rolled form while skipping WORD_STRIDE array copies.
+    doubled = np.concatenate([folded, folded])
+    env_scores = [
+        float(np.dot(doubled[shift:shift + WORD_STRIDE], envelope))
+        for shift in range(WORD_STRIDE)
+    ]
+    estimate = int(np.argmax(env_scores))
+
+    def decode_score(offset: int) -> float:
+        total = 0.0
+        windows = 0
+        for start in range(offset, len(signal) - SAMPLES_PER_WORD + 1,
+                           WORD_STRIDE):
+            if windows >= 4:
+                break
+            window = signal[start : start + SAMPLES_PER_WORD]
+            norm = np.linalg.norm(window)
+            if norm < 1e-6:
+                continue
+            total += float((asr._matrix @ (window / norm)).max())
+            windows += 1
+        return total
+
+    candidates = sorted(
+        {(estimate + d) % WORD_STRIDE for d in range(-20, 21)}
+    )
+    totals = {c: decode_score(c) for c in candidates}
+    return env_scores, totals, max(candidates, key=totals.__getitem__)
+
+
+def _alignment_segments(asr, kind, seed, words, lead, amplitude, length,
+                        zero_run):
+    """int16 segments of one drawn kind, as the TA would align them.
+
+    ``speech`` is a word sequence shifted by ``lead`` silent samples under
+    Gaussian noise of ``amplitude``; ``vad`` is the same stream cut by the
+    TA's stream-mode VAD; ``noise`` is noise alone (at half ``amplitude``,
+    at least 1).  A ``zero_run`` of exact zeros, starting within the first
+    four strides, is laid over the noise, so whole windows are silent.
+    """
+    from repro.ml.asr import WORD_STRIDE
+    from repro.ml.vad import EnergyVad
+
+    rng = np.random.default_rng(seed)
+    if kind == "noise":
+        pcm = rng.standard_normal(length) * max(1, amplitude // 2)
+    else:
+        idx = rng.integers(0, len(asr._words), words)
+        speech = asr.vocoder.render_words([asr._words[int(i)] for i in idx])
+        pcm = np.concatenate([np.zeros(lead), speech.astype(np.float64)])
+        pcm = pcm + rng.standard_normal(len(pcm)) * amplitude
+        if kind == "speech":
+            pcm = pcm[:length]
+    if zero_run:
+        at = int(rng.integers(0, min(len(pcm), 4 * WORD_STRIDE)))
+        pcm[at:at + zero_run] = 0.0
+    pcm = np.clip(pcm, -32768, 32767).astype(np.int16)
+    if kind == "vad":
+        return EnergyVad(slack_samples=400).extract(pcm)
+    return [pcm]
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(["speech", "vad", "noise"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    words=st.integers(min_value=1, max_value=24),
+    lead=st.integers(min_value=0, max_value=1200),
+    amplitude=st.integers(min_value=0, max_value=6000),
+    length=st.integers(min_value=800, max_value=9600),
+    zero_run=st.one_of(st.just(0), st.integers(min_value=320,
+                                               max_value=1600)),
+)
+@example(kind="speech", seed=1, words=3, lead=0, amplitude=0, length=800,
+         zero_run=0)
+@example(kind="speech", seed=2, words=6, lead=150, amplitude=2000,
+         length=2400, zero_run=720)
+@example(kind="noise", seed=3, words=1, lead=0, amplitude=2, length=9600,
+         zero_run=1600)
+@example(kind="vad", seed=4, words=22, lead=900, amplitude=300,
+         length=800, zero_run=0)
+def test_property_alignment_matches_scalar(asr, kind, seed, words, lead,
+                                           amplitude, length, zero_run):
+    """Batched aligner == the shift-at-a-time, window-at-a-time loops.
+
+    Not close: equal.  The envelope scores, every candidate's refine total
+    and the chosen offset must match the reference exactly, because a
+    near-tie rounded differently would pick another offset.
+    """
+    from repro.ml.asr import _envelope_scores
+
+    segments = _alignment_segments(asr, kind, seed, words, lead, amplitude,
+                                   length, zero_run)
+    for pcm in segments:
+        signal = pcm.astype(np.float32) / 32767.0
+        env_ref, totals_ref, offset_ref = _find_alignment_scalar(asr, signal)
+        assert asr._find_alignment(signal) == offset_ref
+        if env_ref is None:
+            continue
+        scores = _envelope_scores(signal)
+        assert scores.dtype == np.float32
+        assert [float(s) for s in scores] == env_ref
+        candidates = np.array(sorted(totals_ref))
+        totals = asr._refine_scores(signal, candidates)
+        assert [float(t) for t in totals] == list(totals_ref.values())
+
+
+# Recorded from the one-window-at-a-time aligner before it was batched.
+ALIGNMENT_OFFSETS_SHA256 = (
+    "e66cff4a0baf08f35385ef9cde3d53e96bd15cf0a577676bb85b93ac38e234d1"
+)
+
+
+def _alignment_pin_corpus(asr, count=200):
+    """``count`` segments from a fixed SimRng stream, every fourth of one
+    kind: noisy shifted speech, VAD cuts of it, pure noise, and speech
+    with a run of exact zeros inside."""
+    from repro.ml.vad import EnergyVad
+    from repro.sim.rng import SimRng
+
+    gen = SimRng(4242, "asr-alignment-pin").generator
+    vad = EnergyVad(slack_samples=400)
+    vocab = asr._words
+    segments = []
+    while len(segments) < count:
+        kind = len(segments) % 4
+        if kind == 2:
+            n = int(gen.integers(800, 9000))
+            pcm = gen.standard_normal(n) * int(gen.integers(1, 3001))
+        else:
+            idx = gen.integers(0, len(vocab), int(gen.integers(2, 22)))
+            speech = asr.vocoder.render_words([vocab[int(i)] for i in idx])
+            pcm = np.concatenate([
+                np.zeros(int(gen.integers(0, 1200))),
+                speech.astype(np.float64),
+                np.zeros(int(gen.integers(0, 800))),
+            ])
+            if kind == 3:
+                at = int(gen.integers(0, len(pcm)))
+                run = np.zeros(int(gen.integers(320, 1200)))
+                pcm = np.concatenate([pcm[:at], run, pcm[at:]])
+            pcm = pcm + gen.standard_normal(len(pcm)) * int(
+                gen.integers(0, 6001)
+            )
+            if kind == 3:
+                pcm[at:at + len(run)] = 0.0
+        pcm = np.clip(pcm, -32768, 32767).astype(np.int16)
+        segments.extend(vad.extract(pcm) if kind == 1 else [pcm])
+    return segments[:count]
+
+
+def test_alignment_offsets_pinned(asr):
+    """The offsets chosen over a fixed 200-segment corpus never move."""
+    import hashlib
+
+    offsets = [
+        asr._find_alignment(pcm.astype(np.float32) / 32767.0)
+        for pcm in _alignment_pin_corpus(asr)
+    ]
+    digest = hashlib.sha256(",".join(map(str, offsets)).encode()).hexdigest()
+    assert digest == ALIGNMENT_OFFSETS_SHA256
