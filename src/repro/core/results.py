@@ -49,6 +49,11 @@ class UtteranceResult:
 class PipelineRunResult:
     """Aggregate outcome of one workload run.
 
+    ``stage_cycles`` holds the TA's per-stage cycles as ``CMD_STATS``
+    reports them: session-cumulative, the totals since the TA session
+    opened, so a second run on the same pipeline reports both runs' cycles
+    (and any ``process_item`` calls in between).  Tabulate one run's
+    stages on a pipeline that ran nothing else.
     ``relay_stats`` holds the TA's delivery counters (sent / queued /
     dropped / drained, retries, re-handshakes, backoff cycles, queue
     depth).  ``over_segmented`` / ``under_segmented`` report how many

@@ -64,13 +64,20 @@ def driver_fn(
     """
 
     def decorate(fn: Callable) -> Callable:
+        name = fn.__name__
         info = DriverFunctionInfo(
-            name=fn.__name__, loc=loc, subsystem=subsystem, entry_point=entry_point
+            name=name, loc=loc, subsystem=subsystem, entry_point=entry_point
         )
 
         @functools.wraps(fn)
         def wrapper(self: "Driver", *args: Any, **kwargs: Any) -> Any:
-            return self._call_driver_fn(info, fn, args, kwargs)
+            if name in self.compiled_out:
+                raise DriverError(
+                    f"{self.NAME}: function {name!r} was compiled out of "
+                    f"this build"
+                )
+            self.host.on_driver_call(self.NAME, info)
+            return fn(self, *args, **kwargs)
 
         wrapper.driver_info = info  # type: ignore[attr-defined]
         return wrapper
@@ -118,20 +125,3 @@ class Driver:
             for info in self.functions().values()
             if info.name not in self.compiled_out
         )
-
-    # -- instrumented dispatch ----------------------------------------------------
-
-    def _call_driver_fn(
-        self,
-        info: DriverFunctionInfo,
-        fn: Callable,
-        args: tuple,
-        kwargs: dict,
-    ) -> Any:
-        if info.name in self.compiled_out:
-            raise DriverError(
-                f"{self.NAME}: function {info.name!r} was compiled out of "
-                f"this build"
-            )
-        self.host.on_driver_call(self.NAME, info)
-        return fn(self, *args, **kwargs)

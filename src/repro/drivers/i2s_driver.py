@@ -82,8 +82,8 @@ class I2sDriver(Driver):
 
     @driver_fn(loc=14, subsystem="regmap")
     def _reg_read(self, reg: I2sReg) -> int:
-        value = self.host.read_mem(self.reg_base + int(reg), 4)
-        return struct.unpack("<I", value)[0]
+        return int.from_bytes(self.host.read_mem(self.reg_base + int(reg), 4),
+                              "little")
 
     @driver_fn(loc=12, subsystem="regmap")
     def _reg_write(self, reg: I2sReg, value: int) -> None:
@@ -436,6 +436,8 @@ class I2sDriver(Driver):
         """Open a playback stream (TX path)."""
         if self.state != "idle":
             raise DeviceStateError(f"pcm_open_playback in state {self.state!r}")
+        if chunk_frames <= 0:
+            raise DriverError("chunk_frames must be positive")
         self.chunk_frames = chunk_frames
         self._tx_fifo_setup()
         self.state = "tx_prepared"
@@ -473,6 +475,8 @@ class I2sDriver(Driver):
         """Start simultaneous capture + playback (loopback style)."""
         if self.state != "idle":
             raise DeviceStateError(f"duplex_start in state {self.state!r}")
+        if chunk_frames <= 0:
+            raise DriverError("chunk_frames must be positive")
         self.chunk_frames = chunk_frames
         self._hw_params()
         self._alloc_dma_buffer(chunk_frames * 2)

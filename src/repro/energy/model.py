@@ -55,7 +55,8 @@ class EnergyReport:
 class EnergyMeter:
     """Integrates the power model over clock charges.
 
-    Subscribe once per clock; read with :meth:`report`, or bracket a region
+    The clock adds to the meter on every charge (:meth:`SimClock.integrate`)
+    until :meth:`detach`; read with :meth:`report`, or bracket a region
     with :meth:`snapshot` / :meth:`delta_since`.
     """
 
@@ -66,17 +67,10 @@ class EnergyMeter:
 
     def __post_init__(self) -> None:
         # The power table is immutable (frozen dataclass): resolve it once
-        # instead of rebuilding the lookup dict on every clock charge —
-        # this listener runs on the simulator's hottest path.
+        # instead of rebuilding the lookup dict on every clock charge.  The
+        # clock adds mW * s = mJ per charge, in charge order.
         self._power_mw = {d: self.power.power_mw(d) for d in CycleDomain}
-        self.clock.subscribe(self._on_charge)
-
-    def _on_charge(self, domain: CycleDomain, cycles: int) -> None:
-        energy = self._energy_mj
-        # mW * s = mJ, accumulated in charge order (float sums depend on it).
-        energy[domain] = energy.get(domain, 0.0) + self._power_mw[domain] * (
-            cycles / self.clock.freq_hz
-        )
+        self.clock.integrate(self._power_mw, self._energy_mj)
 
     def report(self) -> EnergyReport:
         """Cumulative energy since meter creation."""
@@ -101,5 +95,5 @@ class EnergyMeter:
         )
 
     def detach(self) -> None:
-        """Stop metering (unsubscribe from the clock)."""
-        self.clock.unsubscribe(self._on_charge)
+        """Stop metering (the clock stops adding to this meter)."""
+        self.clock.stop_integrating(self._energy_mj)

@@ -33,6 +33,21 @@ SAMPLES_PER_WORD = 320  # 20 ms syllable
 GAP_SAMPLES = 80  # 5 ms inter-word silence
 WORD_STRIDE = SAMPLES_PER_WORD + GAP_SAMPLES
 _AMPLITUDE = 0.35
+#: Upper bound on one refine window's best template correlation.
+#:
+#: Both operands are float32 vectors of n = 320 samples scaled to unit
+#: length in float32: the window by the square root of its ``sdot``, each
+#: template row by ``np.linalg.norm``.  With u = 2**-24 and
+#: g = n*u / (1 - n*u) ~ 1.907e-5, a float32 sum of n squares is at least
+#: (1 - g) times the exact sum, and the square root and the division each
+#: round once more, so each operand's length is at most
+#: (1 + u) / ((1 - u) * sqrt(1 - g)) <= 1 + 9.7e-6.  A float32 dot product
+#: of n terms errs by at most g * sum(|x_i * y_i|), in any summation order,
+#: so by Cauchy-Schwarz it is at most (1 + g) * (1 + 9.7e-6)**2
+#: <= 1 + 3.9e-5.  1 + 2**-14 ~ 1 + 6.1e-5 clears that by more than the
+#: float64 rounding of a four-window total (~1e-15).  The largest value
+#: measured over template-shaped windows was 1 + 2.4e-7.
+WINDOW_BOUND = 1.0 + 2.0**-14
 # Amplitude envelope of one word stride: Hann syllable, then the gap.
 _ENVELOPE = np.concatenate(
     [np.hanning(SAMPLES_PER_WORD).astype(np.float32),
@@ -155,36 +170,66 @@ class MatchedFilterAsr:
         total = sum(float(s) for s in best_scores[keep])
         return out, float(total)
 
+    def _best_correlations(
+        self, block: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Best template correlation of each non-silent row of ``block``.
+
+        Returns ``(live, best)``: the rows whose norm is at least 1e-6 and
+        their best correlations.  The kernels are the ones a one-window
+        loop calls on the same operands: a stack of ``sdot`` for the norms,
+        as ``np.linalg.norm(window)``, and one ``sgemv`` per row for
+        ``self._matrix @ unit[:, :, None]``, as ``self._matrix @ (window /
+        norm)``.  So every correlation is bit-identical to the loop's, and
+        none exceeds :data:`WINDOW_BOUND`.
+        """
+        norms = np.sqrt(block[:, None, :] @ block[:, :, None])[:, 0, 0]
+        live = norms >= 1e-6
+        unit = block[live] / norms[live, None]
+        return live, (self._matrix @ unit[:, :, None]).max(axis=1)[:, 0]
+
     def _refine_scores(
-        self, signal: np.ndarray, candidates: np.ndarray
+        self, signal: np.ndarray, candidates: np.ndarray, bar: int
     ) -> np.ndarray:
         """Matched-filter score of each candidate word-grid offset.
 
         A candidate's score sums, in float64 and in window order, the best
-        template correlation of its first four non-silent word windows.
-        Window ``k`` of every candidate still counting is scored in one
-        pass with the kernels a one-window loop calls on the same operands:
-        a stack of ``sdot`` for the norms, as ``np.linalg.norm(window)``,
-        and one ``sgemv`` per window for ``self._matrix @ unit[:, :, None]``,
-        as ``self._matrix @ (window / norm)``.  So every score is
-        bit-identical to the loop's.
+        template correlation (:meth:`_best_correlations`) of its first four
+        non-silent word windows.  Candidate ``bar`` is scored first, alone;
+        its score is the bar.  The others then advance window by window,
+        and before each step a candidate whose score so far plus
+        :data:`WINDOW_BOUND` per window still to count is below the bar is
+        dropped, with score ``-inf``: float64 addition is monotonic, so its
+        full score would be below the bar too, and the bar is at most the
+        best score.  Every score that is not ``-inf`` is bit-identical to
+        the unpruned loop's, so ``argmax`` picks the same candidate.
         """
         windows = sliding_window_view(signal, SAMPLES_PER_WORD)
         totals = np.zeros(len(candidates))
         counted = np.zeros(len(candidates), dtype=np.int64)
-        starts = candidates
-        while True:
-            pending = np.flatnonzero((counted < 4) & (starts < len(windows)))
-            if not len(pending):
-                return totals
-            block = windows[starts[pending]]
-            norms = np.sqrt(block[:, None, :] @ block[:, :, None])[:, 0, 0]
-            live = norms >= 1e-6
-            unit = block[live] / norms[live, None]
-            best = (self._matrix @ unit[:, :, None]).max(axis=1)[:, 0]
-            totals[pending[live]] += best
-            counted[pending[live]] += 1
-            starts = starts + WORD_STRIDE
+        starts = candidates.copy()
+
+        def counting(rows: np.ndarray) -> np.ndarray:
+            return rows[(counted[rows] < 4) & (starts[rows] < len(windows))]
+
+        def step(rows: np.ndarray) -> None:
+            live, best = self._best_correlations(windows[starts[rows]])
+            totals[rows[live]] += best
+            counted[rows[live]] += 1
+            starts[rows] += WORD_STRIDE
+
+        rows = np.array([bar])
+        while len(rows := counting(rows)):
+            step(rows)
+        rows = np.delete(np.arange(len(candidates)), bar)
+        while len(rows := counting(rows)):
+            best_case = totals[rows] + (4 - counted[rows]) * WINDOW_BOUND
+            doomed = best_case < totals[bar]
+            totals[rows[doomed]] = -np.inf
+            rows = rows[~doomed]
+            if len(rows):
+                step(rows)
+        return totals
 
     def _find_alignment(self, signal: np.ndarray) -> int:
         """Estimate the word-grid offset of an arbitrarily cut segment.
@@ -200,15 +245,17 @@ class MatchedFilterAsr:
            envelope (:func:`_envelope_scores`) finds the offset to within
            a few samples, globally and noise-robustly, O(N + stride²).
         2. *Matched-filter refine* — score the ±20 offsets around the
-           envelope estimate with :meth:`_refine_scores` and keep the best,
-           the lowest offset on a tie (short segments fold few strides, so
-           the estimate can be a dozen samples off).
+           envelope estimate with :meth:`_refine_scores`, the estimate
+           first, and keep the best, the lowest offset on a tie (short
+           segments fold few strides, so the estimate can be a dozen
+           samples off).
         """
         if len(signal) < 2 * WORD_STRIDE:
             return 0
         estimate = int(np.argmax(_envelope_scores(signal)))
         candidates = np.unique((estimate + np.arange(-20, 21)) % WORD_STRIDE)
-        scores = self._refine_scores(signal, candidates)
+        bar = int(np.searchsorted(candidates, estimate))
+        scores = self._refine_scores(signal, candidates, bar)
         return int(candidates[np.argmax(scores)])
 
     def transcribe(self, pcm: np.ndarray, align: bool = True) -> str:

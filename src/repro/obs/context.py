@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry
 from repro.obs.span import SpanTracer, _ActiveSpan
 from repro.sim.clock import CycleDomain, SimClock
 
@@ -29,14 +29,19 @@ class Observability:
     def __init__(self, clock: SimClock, cpu: "Cpu | None" = None):
         self.metrics = MetricsRegistry()
         self.tracer = SpanTracer(clock, cpu=cpu, metrics=self.metrics)
-        self._clock = clock
-        self._counter_names = {d: f"cycles.{d.value}" for d in CycleDomain}
+        # Each domain's counter, kept once a charge has created it in the
+        # registry; the registry never drops a counter.
+        self._cycle_counters: dict[CycleDomain, Counter] = {}
         clock.subscribe(self._on_charge)
 
     def _on_charge(self, domain: CycleDomain, cycles: int) -> None:
-        metrics = self.metrics
-        if metrics.enabled:
-            metrics.counter(self._counter_names[domain]).inc(cycles)
+        if self.metrics.enabled:
+            counter = self._cycle_counters.get(domain)
+            if counter is None:
+                counter = self._cycle_counters[domain] = self.metrics.counter(
+                    f"cycles.{domain.value}"
+                )
+            counter.value += cycles  # clock charges are never negative
 
     # -- convenience -----------------------------------------------------------
 

@@ -44,13 +44,17 @@ class PtaContext:
 
     def read_phys(self, addr: int, size: int) -> bytes:
         """Read physical memory as the secure world."""
-        self._os.machine.cpu.require_world(World.SECURE)
-        return self._os.machine.memory.read(addr, size, World.SECURE)
+        machine = self._os.machine
+        if machine.cpu.world is not World.SECURE:
+            machine.cpu.require_world(World.SECURE)
+        return machine.memory.read(addr, size, World.SECURE)
 
     def write_phys(self, addr: int, data: bytes) -> None:
         """Write physical memory as the secure world."""
-        self._os.machine.cpu.require_world(World.SECURE)
-        self._os.machine.memory.write(addr, data, World.SECURE)
+        machine = self._os.machine
+        if machine.cpu.world is not World.SECURE:
+            machine.cpu.require_world(World.SECURE)
+        machine.memory.write(addr, data, World.SECURE)
 
     def claim_region(self, region: MemoryRegion) -> None:
         """Reprogram a partition to secure (e.g. a peripheral's MMIO/buffers)."""

@@ -3,8 +3,9 @@
 The clock is the single source of simulated time.  Components never call
 ``time.time()``; they *charge* cycles to the clock, tagged with the
 :class:`CycleDomain` the work ran in (secure CPU, normal CPU, DMA, ...).
-The energy model and the benchmark harness read those per-domain counters
-back to compute latency, throughput and energy.
+The benchmark harness reads those per-domain counters back to compute
+latency and throughput; the energy meter has the clock integrate its power
+table on every charge (:meth:`SimClock.integrate`).
 
 The CPU frequency is fixed (the Jetson AGX Xavier's Carmel cores nominally
 run at 2.26 GHz; we default to a round 2.0 GHz) so cycles convert to
@@ -88,6 +89,8 @@ class SimClock:
         default_factory=lambda: defaultdict(int)
     )
     _listeners: list[Callable[[CycleDomain, int], None]] = field(default_factory=list)
+    # (totals, rates) pairs, see integrate().
+    _integrals: list[tuple[dict, dict]] = field(default_factory=list)
 
     @property
     def now(self) -> int:
@@ -111,6 +114,12 @@ class SimClock:
             return self._now
         self._now += cycles
         self._per_domain[domain] += cycles
+        for totals, rates in self._integrals:
+            # rate * seconds, one term per charge in charge order (float
+            # sums depend on the order of their terms).
+            totals[domain] = totals.get(domain, 0.0) + rates[domain] * (
+                cycles / self.freq_hz
+            )
         for listener in self._listeners:
             listener(domain, cycles)
         return self._now
@@ -138,3 +147,19 @@ class SimClock:
         """Remove a previously registered listener (no-op if absent)."""
         if listener in self._listeners:
             self._listeners.remove(listener)
+
+    def integrate(
+        self, rates: dict[CycleDomain, float], totals: dict[CycleDomain, float]
+    ) -> None:
+        """Add ``rates[d] * (cycles / freq_hz)`` to ``totals[d]`` per charge.
+
+        The energy meter's integral of power over time, done in the charge
+        step itself rather than through a listener call: it runs on every
+        charge, the simulator's hottest path.  ``rates`` must cover every
+        domain; ``totals`` gains a domain on its first charge.
+        """
+        self._integrals.append((totals, rates))
+
+    def stop_integrating(self, totals: dict[CycleDomain, float]) -> None:
+        """Stop adding to ``totals`` (no-op if it is not integrated)."""
+        self._integrals[:] = [i for i in self._integrals if i[0] is not totals]

@@ -9,9 +9,10 @@ region (Fig. 1 step 3).
 This module models:
 
 * :class:`MemoryRegion` — one contiguous range with a byte backing store,
-* :class:`Tzasc` — the partition table and the access check,
+* :class:`Tzasc` — the partition programming interface,
 * :class:`PhysicalMemory` — the address-space router that performs every
-  load/store, charging cycles and recording TZASC faults as events,
+  load/store, applying the TZASC check, charging cycles and recording
+  TZASC faults as events,
 * :class:`MemoryAllocator` — a first-fit allocator used for both the
   normal-world heap and the OP-TEE secure heap.
 """
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import InvalidAddressError, SecureAccessViolation
 from repro.sim.clock import SimClock
 from repro.tz.costs import CostModel
-from repro.tz.worlds import World
+from repro.tz.worlds import WORLD_DOMAIN, World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.span import SpanTracer
@@ -39,13 +40,6 @@ class SecurityAttr(enum.Enum):
     NONSECURE = "nonsecure"
 
     __hash__ = object.__hash__  # singletons: see CycleDomain.__hash__
-
-    def accessible_from(self, world: World) -> bool:
-        """Hardware rule: secure world sees everything; normal world sees
-        only non-secure partitions."""
-        if self is SecurityAttr.NONSECURE:
-            return True
-        return world is World.SECURE
 
 
 @dataclass
@@ -210,9 +204,7 @@ class PhysicalMemory:
 
     def read(self, addr: int, size: int, world: World) -> bytes:
         """Architectural load with TZASC enforcement and cycle charging."""
-        region = self.resolve(addr, size)
-        self._check(region, world, addr, write=False)
-        self._charge(size, region, world)
+        region = self._access(addr, size, world, write=False)
         handler = self._mmio_handlers.get(region.name)
         if handler is not None:
             return handler.mmio_read(addr - region.base, size)
@@ -220,9 +212,7 @@ class PhysicalMemory:
 
     def write(self, addr: int, data: bytes, world: World) -> None:
         """Architectural store with TZASC enforcement and cycle charging."""
-        region = self.resolve(addr, len(data))
-        self._check(region, world, addr, write=True)
-        self._charge(len(data), region, world)
+        region = self._access(addr, len(data), world, write=True)
         handler = self._mmio_handlers.get(region.name)
         if handler is not None:
             handler.mmio_write(addr - region.base, data)
@@ -235,27 +225,44 @@ class PhysicalMemory:
 
     # -- internals ------------------------------------------------------------
 
-    def _check(self, region: MemoryRegion, world: World, addr: int, write: bool) -> None:
-        self.access_count += 1
-        if region.attr.accessible_from(world):
-            return
-        self.violation_count += 1
-        self.tracer.emit(
-            "tz.fault",
-            "secure_access_violation",
-            region=region.name,
-            addr=addr,
-            world=world.value,
-            write=write,
-        )
-        raise SecureAccessViolation(
-            f"{world.value} world access to secure region {region.name!r}"
-        )
+    def _access(
+        self, addr: int, size: int, world: World, write: bool
+    ) -> MemoryRegion:
+        """Resolve, TZASC-check, count and charge one transaction.
 
-    def _charge(self, nbytes: int, region: MemoryRegion, world: World) -> None:
+        One scan finds the region (:meth:`resolve`'s rule, inlined: every
+        load and store runs it).  The hardware rule: the secure world sees
+        every partition, the normal world only non-secure ones.  A
+        permitted access counts once and charges its memory cycles to
+        ``world``'s domain; a faulting one counts in both counters, emits a
+        ``tz.fault`` event and raises before any charge.
+        """
+        end = addr + size
+        for region in self._regions:
+            if region.base <= addr and end <= region.base + region.size:
+                break
+        else:
+            raise InvalidAddressError(
+                f"access to unmapped address 0x{addr:x} (+{size})"
+            )
+        self.access_count += 1
         secure = region.attr is SecurityAttr.SECURE
-        cycles = self.costs.mem_copy_cycles(nbytes, secure)
-        self.clock.advance(cycles, world.domain)
+        if secure and world is not World.SECURE:
+            self.violation_count += 1
+            self.tracer.emit(
+                "tz.fault",
+                "secure_access_violation",
+                region=region.name,
+                addr=addr,
+                world=world.value,
+                write=write,
+            )
+            raise SecureAccessViolation(
+                f"{world.value} world access to secure region {region.name!r}"
+            )
+        self.clock.advance(self.costs.mem_copy_cycles(size, secure),
+                           WORLD_DOMAIN[world])
+        return region
 
 
 class MmioHandler:

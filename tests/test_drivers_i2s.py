@@ -217,6 +217,20 @@ class TestPlaybackAndDuplex:
         driver.duplex_stop()
         assert driver.state == "idle"
 
+    @pytest.mark.parametrize("opener", ["pcm_open_capture",
+                                        "pcm_open_playback", "duplex_start"])
+    @pytest.mark.parametrize("period", [0, -5])
+    def test_non_positive_period_rejected(self, rig, opener, period):
+        """Every stream opener rejects a non-positive period with
+        DriverError and leaves the driver idle with no buffer."""
+        _, driver, _, _ = rig
+        driver.probe()
+        with pytest.raises(DriverError, match="chunk_frames must be positive"):
+            getattr(driver, opener)(period)
+        assert driver.state == "idle"
+        assert driver.chunk_frames == 0
+        assert driver._buf_addr is None
+
 
 class TestDebugAndIrq:
     def test_dump_registers(self, rig):

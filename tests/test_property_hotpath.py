@@ -10,7 +10,8 @@ positive counterpart, the classic vectorization bug).
 
 The VAD, matched-filter decode and word-grid aligner are held to their
 pre-vectorization loops the same way; the aligner's scores must be equal,
-not close, and a sha256 of its offsets over a fixed corpus is pinned.
+not close, except where its refine drops a candidate that provably
+cannot win, and a sha256 of its offsets over a fixed corpus is pinned.
 """
 
 import numpy as np
@@ -343,11 +344,14 @@ def _alignment_segments(asr, kind, seed, words, lead, amplitude, length,
          length=800, zero_run=0)
 def test_property_alignment_matches_scalar(asr, kind, seed, words, lead,
                                            amplitude, length, zero_run):
-    """Batched aligner == the shift-at-a-time, window-at-a-time loops.
+    """Batched, pruned aligner == the shift-at-a-time, window-at-a-time loops.
 
-    Not close: equal.  The envelope scores, every candidate's refine total
-    and the chosen offset must match the reference exactly, because a
-    near-tie rounded differently would pick another offset.
+    Not close: equal.  The envelope scores and the chosen offset must match
+    the reference exactly, because a near-tie rounded differently would
+    pick another offset.  The refine may drop a candidate (score ``-inf``)
+    only if its reference total is strictly below the winner's; every
+    candidate it completes, the envelope estimate always among them, must
+    have exactly the reference total.
     """
     from repro.ml.asr import _envelope_scores
 
@@ -363,8 +367,70 @@ def test_property_alignment_matches_scalar(asr, kind, seed, words, lead,
         assert scores.dtype == np.float32
         assert [float(s) for s in scores] == env_ref
         candidates = np.array(sorted(totals_ref))
-        totals = asr._refine_scores(signal, candidates)
-        assert [float(t) for t in totals] == list(totals_ref.values())
+        bar = int(np.searchsorted(candidates, int(np.argmax(env_ref))))
+        totals = asr._refine_scores(signal, candidates, bar)
+        assert totals[bar] != -np.inf
+        for candidate, total in zip(candidates, totals):
+            reference = totals_ref[int(candidate)]
+            if total == -np.inf:
+                assert reference < totals_ref[offset_ref]
+            else:
+                assert float(total) == reference
+
+
+def _window_bound_rows(asr, kind, seed, amplitude, shift):
+    """int16-quantized rows of one kind, scaled as the aligner scales PCM.
+
+    ``template`` rows are every vocabulary word's syllable at peak
+    ``amplitude`` (down to 1 LSB), starting ``shift`` samples into the
+    word; ``clipped`` rows are the syllables driven far past full scale and
+    clipped; ``noise`` rows are Gaussian noise of that standard deviation.
+    """
+    from repro.ml.asr import SAMPLES_PER_WORD
+
+    rng = np.random.default_rng(seed)
+    templates = np.stack([asr.vocoder._templates[w] for w in asr._words])
+    padded = np.concatenate(
+        [templates, np.zeros((len(templates), SAMPLES_PER_WORD))], axis=1
+    )[:, shift:shift + SAMPLES_PER_WORD]
+    if kind == "template":
+        rows = np.round(padded * amplitude)
+    elif kind == "clipped":
+        rows = padded * 32767.0 * (1 + amplitude / 64)
+    else:
+        rows = rng.standard_normal((64, SAMPLES_PER_WORD)) * amplitude
+    pcm = np.clip(rows, -32768, 32767).astype(np.int16)
+    return pcm.astype(np.float32) / 32767.0
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    kind=st.sampled_from(["template", "clipped", "noise"]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    amplitude=st.integers(min_value=1, max_value=32767),
+    shift=st.integers(min_value=0, max_value=40),
+)
+@example(kind="template", seed=0, amplitude=32767, shift=0)
+@example(kind="template", seed=0, amplitude=1, shift=0)
+@example(kind="clipped", seed=0, amplitude=32767, shift=0)
+@example(kind="noise", seed=0, amplitude=1, shift=0)
+def test_property_window_correlation_within_bound(asr, kind, seed,
+                                                  amplitude, shift):
+    """No window the refine scores correlates above ``WINDOW_BOUND``.
+
+    The pruned refine drops a candidate on the strength of this bound, so
+    it is checked on the windows most likely to approach it: every
+    template itself at full scale, template shapes quantized down to 1 LSB,
+    clipped full-scale syllables and noise.
+    """
+    from repro.ml.asr import WINDOW_BOUND
+
+    rows = _window_bound_rows(asr, kind, seed, amplitude, shift)
+    live, best = asr._best_correlations(rows)
+    assert best.dtype == np.float32
+    assert len(best) == int(live.sum())
+    assert (best.astype(np.float64) <= WINDOW_BOUND).all()
 
 
 # Recorded from the one-window-at-a-time aligner before it was batched.
