@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import json
 import math
+import weakref
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -226,7 +227,11 @@ class VoiceCloudService:
         service keeps a private registry.
         """
         self.tls = TlsServer(rng.fork("tls-server"))
-        self.tls.set_handler(lambda pt: self._handle_event(pt, encrypted=True))
+        # Weak, so the service and the TLS server it owns are no cycle.
+        service = weakref.proxy(self)
+        self.tls.set_handler(
+            lambda pt: service._handle_event(pt, encrypted=True)
+        )
         self.received: list[CloudRecord] = []
         self.events_handled = 0
         # Delivery is at-least-once under an unreliable network: a retry of

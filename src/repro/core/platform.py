@@ -124,7 +124,10 @@ class IotPlatform:
         # which boots routed to the normal world (unclaimed peripheral).
         from repro.tz.interrupts import IRQ_I2S
 
-        controller.set_irq_callback(lambda: machine.gic.raise_line(IRQ_I2S))
+        # Closes over the GIC, not the machine: the machine maps the
+        # controller, so a closure over the machine would be a cycle.
+        gic = machine.gic
+        controller.set_irq_callback(lambda: gic.raise_line(IRQ_I2S))
         machine.gic.configure(IRQ_I2S, World.NORMAL, lambda: None)
         mic = DigitalMicrophone(SilenceSource(), fmt=controller.format)
         I2sBus(controller, mic)

@@ -24,6 +24,7 @@ Commands (TA-facing)::
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
@@ -116,8 +117,10 @@ class SecureAudioPta(PseudoTa):
         from repro.tz.interrupts import IRQ_I2S
         from repro.tz.worlds import World
 
+        # Weak: the machine's GIC must not keep the OS's PTA alive.
+        pta = weakref.proxy(self)
         self.ctx.machine.gic.configure(
-            IRQ_I2S, World.SECURE, lambda: self.driver.irq_handler()
+            IRQ_I2S, World.SECURE, lambda: pta.driver.irq_handler()
         )
         self.ctx.log("driver_ready", compiled_out=len(self.driver.compiled_out))
 

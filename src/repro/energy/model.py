@@ -55,8 +55,7 @@ class EnergyReport:
 class EnergyMeter:
     """Integrates the power model over clock charges.
 
-    The clock adds to the meter on every charge (:meth:`SimClock.integrate`)
-    until :meth:`detach`; read with :meth:`report`, or bracket a region
+    Subscribe once per clock; read with :meth:`report`, or bracket a region
     with :meth:`snapshot` / :meth:`delta_since`.
     """
 
@@ -67,10 +66,24 @@ class EnergyMeter:
 
     def __post_init__(self) -> None:
         # The power table is immutable (frozen dataclass): resolve it once
-        # instead of rebuilding the lookup dict on every clock charge.  The
-        # clock adds mW * s = mJ per charge, in charge order.
-        self._power_mw = {d: self.power.power_mw(d) for d in CycleDomain}
-        self.clock.integrate(self._power_mw, self._energy_mj)
+        # instead of rebuilding the lookup dict on every clock charge —
+        # this listener runs on the simulator's hottest path.
+        power_mw = self._power_mw = {
+            d: self.power.power_mw(d) for d in CycleDomain
+        }
+        energy, freq_hz = self._energy_mj, self.clock.freq_hz
+
+        def on_charge(domain: CycleDomain, cycles: int) -> None:
+            # mW * s = mJ, accumulated in charge order (float sums depend
+            # on it).
+            energy[domain] = energy.get(domain, 0.0) + power_mw[domain] * (
+                cycles / freq_hz
+            )
+
+        # A closure over the totals, not a bound method, so the clock does
+        # not reference the meter, which references the clock.
+        self._on_charge = on_charge
+        self.clock.subscribe(on_charge)
 
     def report(self) -> EnergyReport:
         """Cumulative energy since meter creation."""
@@ -95,5 +108,5 @@ class EnergyMeter:
         )
 
     def detach(self) -> None:
-        """Stop metering (the clock stops adding to this meter)."""
-        self.clock.stop_integrating(self._energy_mj)
+        """Stop metering (unsubscribe from the clock)."""
+        self.clock.unsubscribe(self._on_charge)

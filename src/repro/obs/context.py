@@ -27,21 +27,25 @@ class Observability:
     """Span tracer + metrics registry for one machine."""
 
     def __init__(self, clock: SimClock, cpu: "Cpu | None" = None):
-        self.metrics = MetricsRegistry()
-        self.tracer = SpanTracer(clock, cpu=cpu, metrics=self.metrics)
+        self.metrics = metrics = MetricsRegistry()
+        self.tracer = SpanTracer(clock, cpu=cpu, metrics=metrics)
         # Each domain's counter, kept once a charge has created it in the
         # registry; the registry never drops a counter.
-        self._cycle_counters: dict[CycleDomain, Counter] = {}
-        clock.subscribe(self._on_charge)
+        counters: dict[CycleDomain, Counter] = {}
 
-    def _on_charge(self, domain: CycleDomain, cycles: int) -> None:
-        if self.metrics.enabled:
-            counter = self._cycle_counters.get(domain)
-            if counter is None:
-                counter = self._cycle_counters[domain] = self.metrics.counter(
-                    f"cycles.{domain.value}"
-                )
-            counter.value += cycles  # clock charges are never negative
+        def on_charge(domain: CycleDomain, cycles: int) -> None:
+            if metrics.enabled:
+                counter = counters.get(domain)
+                if counter is None:
+                    counter = counters[domain] = metrics.counter(
+                        f"cycles.{domain.value}"
+                    )
+                counter.value += cycles  # clock charges are never negative
+
+        # A closure over the registry rather than a bound method: the
+        # tracer holds the clock, so a clock holding this object would be
+        # a reference cycle (see DESIGN.md, "Device teardown").
+        clock.subscribe(on_charge)
 
     # -- convenience -----------------------------------------------------------
 

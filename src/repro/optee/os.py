@@ -24,6 +24,7 @@ unchanged — they are the GP status codes of the API contract.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import (
@@ -79,8 +80,14 @@ class OpTeeOs:
     def _boot(self) -> None:
         """Install SMC handlers; runs at machine bring-up."""
         mon = self.machine.monitor
-        mon.register(SmcFunction.CALL_WITH_ARG, self._handle_call)
-        mon.register(SmcFunction.GET_SHM_CONFIG, self._handle_shm_config)
+        # The monitor calls in through a weak proxy: whoever built the OS
+        # owns it, and handlers bound to it would close the cycle machine
+        # -> monitor -> OS -> machine (DESIGN.md, "Device teardown").
+        os = weakref.proxy(self)
+        mon.register(SmcFunction.CALL_WITH_ARG,
+                     lambda request: os._handle_call(request))
+        mon.register(SmcFunction.GET_SHM_CONFIG,
+                     lambda: os._handle_shm_config())
         self.machine.obs.tracer.emit("optee.os", "boot")
 
     def _handle_shm_config(self) -> dict[str, int]:

@@ -30,48 +30,47 @@ class PtaContext:
     """OS-level capabilities granted to a PTA."""
 
     def __init__(self, os: "OpTeeOs", pta: "PseudoTa"):
-        self._os = os
-        self._pta = pta
+        # The machine and the PTA's name, not the OS and the PTA: the OS
+        # owns the PTA and the PTA this context, so references back would
+        # be cycles (DESIGN.md, "Device teardown").
+        self._machine = os.machine
+        self._name = pta.name
 
     @property
     def machine(self):
         """The underlying TrustZone machine (full access)."""
-        return self._os.machine
+        return self._machine
 
     def compute(self, cycles: int) -> None:
         """Charge secure-world computation."""
-        self._os.machine.cpu.execute(cycles)
+        self._machine.cpu.execute(cycles)
 
     def read_phys(self, addr: int, size: int) -> bytes:
         """Read physical memory as the secure world."""
-        machine = self._os.machine
-        if machine.cpu.world is not World.SECURE:
-            machine.cpu.require_world(World.SECURE)
-        return machine.memory.read(addr, size, World.SECURE)
+        self._machine.cpu.require_world(World.SECURE)
+        return self._machine.memory.read(addr, size, World.SECURE)
 
     def write_phys(self, addr: int, data: bytes) -> None:
         """Write physical memory as the secure world."""
-        machine = self._os.machine
-        if machine.cpu.world is not World.SECURE:
-            machine.cpu.require_world(World.SECURE)
-        machine.memory.write(addr, data, World.SECURE)
+        self._machine.cpu.require_world(World.SECURE)
+        self._machine.memory.write(addr, data, World.SECURE)
 
     def claim_region(self, region: MemoryRegion) -> None:
         """Reprogram a partition to secure (e.g. a peripheral's MMIO/buffers)."""
-        self._os.machine.secure_peripheral(region)
+        self._machine.secure_peripheral(region)
 
     def alloc_secure(self, size: int) -> int:
         """Allocate from the secure DRAM carveout (driver I/O buffers)."""
-        return self._os.machine.secure_allocator.alloc(size)
+        return self._machine.secure_allocator.alloc(size)
 
     def free_secure(self, addr: int) -> None:
         """Release a carveout allocation."""
-        self._os.machine.secure_allocator.free(addr)
+        self._machine.secure_allocator.free(addr)
 
     def log(self, name: str, **data: Any) -> None:
         """Emit a PTA-scoped event on the machine's tracer."""
-        self._os.machine.obs.tracer.emit(
-            f"optee.pta.{self._pta.name}", name, **data
+        self._machine.obs.tracer.emit(
+            f"optee.pta.{self._name}", name, **data
         )
 
 

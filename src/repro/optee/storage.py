@@ -14,6 +14,7 @@ that at-rest model data is unreadable to the normal world.
 
 from __future__ import annotations
 
+import weakref
 from typing import TYPE_CHECKING
 
 from repro.crypto.aead import StreamAead
@@ -36,7 +37,7 @@ class SecureStorage:
     """Sealed object store for TAs, backed by the untrusted filesystem."""
 
     def __init__(self, os: "OpTeeOs"):
-        self._os = os
+        self._os = weakref.proxy(os)  # the OS owns its storage
         self._aead = StreamAead(derive_key(_HARDWARE_UNIQUE_KEY, "ree-fs-sealing"))
         self._nonce_counter = 0
         # Secure-side shadow of the object index (REE-FS keeps a sealed

@@ -12,6 +12,7 @@ hardware goes through a PTA (paper Section II).
 from __future__ import annotations
 
 import enum
+import weakref
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import TeeAccessDenied, TeeOutOfMemory
@@ -44,8 +45,10 @@ class TaContext:
     """
 
     def __init__(self, os: "OpTeeOs", ta: "TrustedApplication"):
-        self._os = os
-        self._ta = ta
+        # Weak: the OS owns the TA and the TA owns this context, so strong
+        # references back would make every TA a reference cycle.
+        self._os = weakref.proxy(os)
+        self._ta = weakref.proxy(ta)
         self._allocations: list[int] = []
 
     # -- compute ---------------------------------------------------------------

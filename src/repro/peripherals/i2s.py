@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import enum
 import struct
+import weakref
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -123,7 +124,8 @@ class I2sBus:
                 f"format mismatch: controller {controller.format} vs "
                 f"device {device.format}"
             )
-        self.controller = controller
+        # Weak: the controller owns its bus (``_attach_bus``).
+        self.controller = weakref.proxy(controller)
         self.device = device
         controller._attach_bus(self)
 

@@ -22,6 +22,7 @@ the payload into the sealed store-and-forward queue.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from typing import Any, Callable
 
@@ -82,9 +83,12 @@ class RelayModule:
         self._ctx = ctx
         self._host = host
         self._port = port
+        # The TLS client reaches the transport through a weak proxy: the
+        # relay owns the client, so a bound method would be a cycle.
+        relay = weakref.proxy(self)
         self._tls = TlsClient(
-            self._transport, pinned_server_public, rng,
-            metrics=ctx.metrics,
+            lambda payload: relay._transport(payload), pinned_server_public,
+            rng, metrics=ctx.metrics,
         )
         self._avs = AvsClient(self._tls.request, device_id=device_id)
         self._backoff_rng = rng.fork("backoff")
@@ -156,14 +160,17 @@ class RelayModule:
                 attempts=0,
                 deferred=True,
             )
-        last_exc: Exception | None = None
+        # The last failure's text, not the exception: an exception kept in
+        # a local holds this frame through its traceback, a cycle that
+        # would keep the whole device alive after a retried delivery.
+        last_error: str | None = None
         backoff_spent = 0
         for attempt in range(self.policy.max_attempts):
             try:
                 self.connect()
                 directive = op()
             except (TeeCommunicationError, CryptoError) as exc:
-                last_exc = exc
+                last_error = str(exc)
                 # The connection state is suspect after any transport or
                 # record failure; force a fresh handshake on the next try.
                 self._tls.reset()
@@ -210,7 +217,7 @@ class RelayModule:
             backoff_cycles=backoff_spent,
         )
         raise RelayExhaustedError(
-            f"cloud unreachable: {last_exc}",
+            f"cloud unreachable: {last_error}",
             attempts=self.policy.max_attempts,
             backoff_cycles=backoff_spent,
         )

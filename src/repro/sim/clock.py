@@ -3,9 +3,8 @@
 The clock is the single source of simulated time.  Components never call
 ``time.time()``; they *charge* cycles to the clock, tagged with the
 :class:`CycleDomain` the work ran in (secure CPU, normal CPU, DMA, ...).
-The benchmark harness reads those per-domain counters back to compute
-latency and throughput; the energy meter has the clock integrate its power
-table on every charge (:meth:`SimClock.integrate`).
+The energy model and the benchmark harness read those per-domain counters
+back to compute latency, throughput and energy.
 
 The CPU frequency is fixed (the Jetson AGX Xavier's Carmel cores nominally
 run at 2.26 GHz; we default to a round 2.0 GHz) so cycles convert to
@@ -89,8 +88,6 @@ class SimClock:
         default_factory=lambda: defaultdict(int)
     )
     _listeners: list[Callable[[CycleDomain, int], None]] = field(default_factory=list)
-    # (totals, rates) pairs, see integrate().
-    _integrals: list[tuple[dict, dict]] = field(default_factory=list)
 
     @property
     def now(self) -> int:
@@ -114,12 +111,6 @@ class SimClock:
             return self._now
         self._now += cycles
         self._per_domain[domain] += cycles
-        for totals, rates in self._integrals:
-            # rate * seconds, one term per charge in charge order (float
-            # sums depend on the order of their terms).
-            totals[domain] = totals.get(domain, 0.0) + rates[domain] * (
-                cycles / self.freq_hz
-            )
         for listener in self._listeners:
             listener(domain, cycles)
         return self._now
@@ -139,7 +130,9 @@ class SimClock:
     def subscribe(self, listener: Callable[[CycleDomain, int], None]) -> None:
         """Register a callback invoked as ``listener(domain, cycles)`` per charge.
 
-        Used by the energy model to integrate power over time.
+        The energy meter integrates power over time through one, and
+        :class:`~repro.obs.context.Observability` counts cycles per domain
+        through another.  Listeners run in subscription order.
         """
         self._listeners.append(listener)
 
@@ -147,19 +140,3 @@ class SimClock:
         """Remove a previously registered listener (no-op if absent)."""
         if listener in self._listeners:
             self._listeners.remove(listener)
-
-    def integrate(
-        self, rates: dict[CycleDomain, float], totals: dict[CycleDomain, float]
-    ) -> None:
-        """Add ``rates[d] * (cycles / freq_hz)`` to ``totals[d]`` per charge.
-
-        The energy meter's integral of power over time, done in the charge
-        step itself rather than through a listener call: it runs on every
-        charge, the simulator's hottest path.  ``rates`` must cover every
-        domain; ``totals`` gains a domain on its first charge.
-        """
-        self._integrals.append((totals, rates))
-
-    def stop_integrating(self, totals: dict[CycleDomain, float]) -> None:
-        """Stop adding to ``totals`` (no-op if it is not integrated)."""
-        self._integrals[:] = [i for i in self._integrals if i[0] is not totals]

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import InvalidAddressError, SecureAccessViolation
 from repro.sim.clock import SimClock
 from repro.tz.costs import CostModel
-from repro.tz.worlds import WORLD_DOMAIN, World
+from repro.tz.worlds import World
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.span import SpanTracer
@@ -185,9 +185,14 @@ class PhysicalMemory:
         return list(self._regions)
 
     def resolve(self, addr: int, size: int = 1) -> MemoryRegion:
-        """Find the region containing ``[addr, addr+size)``."""
+        """Find the region containing ``[addr, addr+size)``.
+
+        Every load and store runs this scan, so it compares bounds itself
+        rather than calling :meth:`MemoryRegion.contains` per region.
+        """
+        end = addr + size
         for r in self._regions:
-            if r.contains(addr, size):
+            if r.base <= addr and end <= r.base + r.size:
                 return r
         raise InvalidAddressError(
             f"access to unmapped address 0x{addr:x} (+{size})"
@@ -230,21 +235,13 @@ class PhysicalMemory:
     ) -> MemoryRegion:
         """Resolve, TZASC-check, count and charge one transaction.
 
-        One scan finds the region (:meth:`resolve`'s rule, inlined: every
-        load and store runs it).  The hardware rule: the secure world sees
-        every partition, the normal world only non-secure ones.  A
-        permitted access counts once and charges its memory cycles to
-        ``world``'s domain; a faulting one counts in both counters, emits a
-        ``tz.fault`` event and raises before any charge.
+        The hardware rule: the secure world sees every partition, the
+        normal world only non-secure ones.  A permitted access counts once
+        and charges its memory cycles to ``world``'s domain; a faulting one
+        counts in both counters, emits a ``tz.fault`` event and raises
+        before any charge.
         """
-        end = addr + size
-        for region in self._regions:
-            if region.base <= addr and end <= region.base + region.size:
-                break
-        else:
-            raise InvalidAddressError(
-                f"access to unmapped address 0x{addr:x} (+{size})"
-            )
+        region = self.resolve(addr, size)
         self.access_count += 1
         secure = region.attr is SecurityAttr.SECURE
         if secure and world is not World.SECURE:
@@ -261,7 +258,7 @@ class PhysicalMemory:
                 f"{world.value} world access to secure region {region.name!r}"
             )
         self.clock.advance(self.costs.mem_copy_cycles(size, secure),
-                           WORLD_DOMAIN[world])
+                           world.domain)
         return region
 
 

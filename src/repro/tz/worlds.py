@@ -27,7 +27,7 @@ class World(enum.Enum):
     @property
     def domain(self) -> CycleDomain:
         """Clock domain work in this world is charged to."""
-        return WORLD_DOMAIN[self]
+        return _WORLD_DOMAIN[self]
 
     @property
     def other(self) -> "World":
@@ -35,8 +35,7 @@ class World(enum.Enum):
         return World.SECURE if self is World.NORMAL else World.NORMAL
 
 
-#: The clock domain each world's work is charged to.
-WORLD_DOMAIN = {
+_WORLD_DOMAIN = {
     World.NORMAL: CycleDomain.NORMAL_CPU,
     World.SECURE: CycleDomain.SECURE_CPU,
 }
@@ -57,7 +56,7 @@ class Cpu:
 
     def execute(self, cycles: int) -> None:
         """Charge ``cycles`` of computation to the current world."""
-        self.clock.advance(cycles, WORLD_DOMAIN[self.world])
+        self.clock.advance(cycles, self.world.domain)
 
     def require_world(self, world: World) -> None:
         """Assert the CPU is currently in ``world``.

@@ -163,7 +163,7 @@ class TestResourceExhaustion:
         from repro.optee.client import TeeClient
         from repro.optee.os import OpTeeOs
 
-        OpTeeOs(machine)
+        tee = OpTeeOs(machine)  # the monitor refers to its OS weakly
         client = TeeClient(machine)
         with pytest.raises(MemoryError):
             client.allocate_shared_memory(machine.shmem.size * 2)

@@ -349,9 +349,10 @@ def test_property_alignment_matches_scalar(asr, kind, seed, words, lead,
     Not close: equal.  The envelope scores and the chosen offset must match
     the reference exactly, because a near-tie rounded differently would
     pick another offset.  The refine may drop a candidate (score ``-inf``)
-    only if its reference total is strictly below the winner's; every
-    candidate it completes, the envelope estimate always among them, must
-    have exactly the reference total.
+    only if its reference total is strictly below the bar: the envelope
+    estimate's total, which is at most the winner's.  Every candidate it
+    completes, the envelope estimate always among them, must have exactly
+    the reference total.
     """
     from repro.ml.asr import _envelope_scores
 
@@ -373,7 +374,8 @@ def test_property_alignment_matches_scalar(asr, kind, seed, words, lead,
         for candidate, total in zip(candidates, totals):
             reference = totals_ref[int(candidate)]
             if total == -np.inf:
-                assert reference < totals_ref[offset_ref]
+                # The bound's own claim, stronger than "below the winner".
+                assert reference < float(totals[bar])
             else:
                 assert float(total) == reference
 

@@ -74,7 +74,9 @@ class TestRelayModule:
             ta.ctx, cloud.HOST, cloud.TLS_PORT,
             cloud.tls.static_public, SimRng(2, "relay"),
         )
-        return machine, relay, cloud
+        # Yield, not return: the fixture's frame owns the OS and the TA,
+        # which the TA context refers to weakly.
+        yield machine, relay, cloud
 
     def test_connect_is_idempotent(self, relay_setup):
         from repro.tz.worlds import World
