@@ -145,8 +145,9 @@ class DeadTcbReport:
 # which are always statically spelled (and equal ``Driver.functions()`` by
 # construction: ``driver_fn`` stores its ``loc`` argument verbatim).  The
 # gate diffs the current dead set against a committed per-driver baseline
-# (``analysis/deadtcb_baseline.json``) so dead-TCB *growth* fails CI the
-# way the perf gate bounds cycles.
+# (``analysis/deadtcb_baseline.json``) so dead-TCB *growth* fails CI: a
+# newly reachable function that no traced task runs is accepted only by
+# committing a refreshed baseline.
 
 DEADTCB_BASELINE_NAME = "deadtcb_baseline.json"
 

@@ -183,7 +183,6 @@ DEFAULT_WORLD_MAP = WorldMap(
         # obs harnesses that drive whole pipelines are normal-world tools.
         "repro.obs.fleet": World.NORMAL,
         "repro.obs.profile": World.NORMAL,
-        "repro.obs.regress": World.NORMAL,
         # -- secure world ------------------------------------------------------
         "repro.ml": World.SECURE,
         "repro.drivers": World.SECURE,

@@ -9,7 +9,6 @@ writing Python::
     repro trace                # span and event dump of one run
     repro fleet                # N simulated devices, merged fleet telemetry
     repro health               # SLO evaluation + flight-recorder dump
-    repro compare              # perf-regression gate vs committed baseline
     repro tcb                  # trace-and-strip I2S/USB/camera (+ dead-TCB)
     repro analyze              # world-boundary static analysis gate
     repro models               # architecture comparison table
@@ -40,9 +39,6 @@ def _repo_root() -> pathlib.Path:
 
 _REPO_ROOT = _repo_root()
 _DEFAULT_PROFILE_OUT = _REPO_ROOT / "benchmarks" / "results" / "profile.json"
-_DEFAULT_BASELINE = (
-    _REPO_ROOT / "benchmarks" / "baselines" / "profile_baseline.json"
-)
 _DEFAULT_HEALTH_DUMP = (
     _REPO_ROOT / "benchmarks" / "results" / "health_flight.jsonl"
 )
@@ -281,35 +277,6 @@ def _cmd_health(args: argparse.Namespace) -> int:
               + (f" (attempts {outcome['attempts']})"
                  if "attempts" in outcome else ""))
     return report.exit_code
-
-
-def _cmd_compare(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.obs.regress import (
-        collect_current_for,
-        compare_profiles,
-        load_profile_doc,
-    )
-
-    baseline_path = pathlib.Path(args.baseline)
-    if not baseline_path.exists():
-        print(f"no baseline at {baseline_path}; commit one with "
-              f"`repro profile --output {baseline_path}`", file=sys.stderr)
-        return 2
-    baseline = load_profile_doc(baseline_path)
-    if args.current:
-        current = load_profile_doc(args.current)
-    else:
-        current = collect_current_for(baseline)
-    report = compare_profiles(current, baseline)
-    print(report.table(only_interesting=not args.full))
-    if args.output:
-        out = pathlib.Path(args.output)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.to_doc(), indent=2) + "\n")
-        print(f"wrote {out}")
-    return 0 if report.passed else 1
 
 
 def _cmd_tcb(args: argparse.Namespace) -> int:
@@ -610,7 +577,7 @@ def build_parser() -> argparse.ArgumentParser:
         "health", help="evaluate SLO rules on one device; dump on violation",
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
-            "exit codes (mirrors `repro compare`):\n"
+            "exit codes:\n"
             "  0  every rule holds, no burn rate firing, nothing stalled\n"
             "  1  SLO violation, firing burn rate, or watchdog stall\n"
             "  2  NO DATA only: a rule's metric was never recorded, or a\n"
@@ -687,28 +654,6 @@ def build_parser() -> argparse.ArgumentParser:
              "secure relay (sealed store-and-forward on outage)",
     )
     health.set_defaults(func=_cmd_health)
-
-    compare = sub.add_parser(
-        "compare", help="perf-regression gate against a committed baseline"
-    )
-    compare.add_argument(
-        "--baseline", default=str(_DEFAULT_BASELINE),
-        help="baseline profile.json (committed budget)",
-    )
-    compare.add_argument(
-        "--current", default="",
-        help="existing profile.json to gate (default: re-measure with the "
-             "baseline's seed/utterances/mode)",
-    )
-    compare.add_argument(
-        "--output", default="",
-        help="write the comparison JSON report here",
-    )
-    compare.add_argument(
-        "--full", action="store_true",
-        help="show every row, not just regressions",
-    )
-    compare.set_defaults(func=_cmd_compare)
 
     trace = sub.add_parser(
         "trace", help="dump spans and events from one secure run"

@@ -16,8 +16,6 @@
 * :mod:`repro.obs.health` — declarative SLO rules, a span-heartbeat
   watchdog and the violation-triggered flight recorder
   (``repro health``).
-* :mod:`repro.obs.regress` — the CI perf-regression gate
-  (``repro compare``).
 
 The layer is strictly read-only with respect to the simulation: it never
 charges cycles or consumes randomness, so enabling or disabling it leaves

@@ -571,7 +571,7 @@ class HealthReport:
 
     @property
     def exit_code(self) -> int:
-        """The ``repro health`` process contract (mirrors ``repro compare``).
+        """The ``repro health`` process contract.
 
         ``1`` for a real problem — a measured rule violation, a firing
         burn rate, or a watchdog stall; ``2`` when the only failures are

@@ -180,7 +180,6 @@ def collect_profile(
     utterances: int = 8,
     bundle=None,
     continuous: bool = False,
-    chunk_frames: int = 256,
 ) -> ProfileReport:
     """Run secure and baseline pipelines and profile both.
 
@@ -215,13 +214,10 @@ def collect_profile(
     for name in ("secure", "baseline"):
         platform = IotPlatform.create(seed=seed)
         if name == "secure":
-            pipeline = SecurePipeline(
-                platform, bundle, chunk_frames=chunk_frames
-            )
+            pipeline = SecurePipeline(platform, bundle)
         else:
             pipeline = BaselinePipeline(
-                platform, bundle.asr, bundle=bundle, use_tls=True,
-                chunk_frames=chunk_frames,
+                platform, bundle.asr, bundle=bundle, use_tls=True
             )
         try:
             if continuous and name == "secure":

@@ -212,8 +212,6 @@ class OpTeeOs:
             raise TeeItemNotFound(f"no session {session_id}")
         if session.state.value == "dead" or session.ta.panicked:
             raise TeeTargetDead(f"TA {session.ta.name} has panicked")
-        if not session.is_open:
-            raise TeeItemNotFound(f"session {session_id} is closed")
         self.machine.cpu.execute(self.machine.costs.ta_invoke_cycles)
         self.machine.obs.metrics.inc("optee.ta_invoke")
         session.invoke_count += 1
@@ -227,6 +225,7 @@ class OpTeeOs:
             return  # closing a closed/unknown session is a no-op, as in OP-TEE
         self._run_ta_hook(session.ta, lambda: session.ta.on_close_session(session))
         session.close()
+        del self._sessions[session_id]
         ta = session.ta
         if not (ta.FLAGS & TaFlags.INSTANCE_KEEP_ALIVE):
             if not any(s.ta is ta and s.is_open for s in self._sessions.values()):

@@ -13,8 +13,7 @@ class TestParser:
     def test_all_subcommands_parse(self):
         parser = build_parser()
         for command in ("demo", "privacy", "profile", "trace", "fleet",
-                        "health", "compare", "tcb", "models", "info",
-                        "analyze"):
+                        "health", "tcb", "models", "info", "analyze"):
             args = parser.parse_args([command])
             assert callable(args.func)
 
@@ -45,10 +44,6 @@ class TestParser:
         assert args.fault_profile == "lossy"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["health", "--fault-profile", "chaos"])
-
-    def test_compare_baseline_default_is_committed_path(self):
-        args = build_parser().parse_args(["compare"])
-        assert args.baseline.endswith("profile_baseline.json")
 
     def test_trace_format_choices(self):
         args = build_parser().parse_args(["trace", "--format", "chrome"])
@@ -183,30 +178,6 @@ class TestCommands:
         assert "flight recorder" in out
         docs = [json.loads(l) for l in dump.read_text().splitlines()]
         assert {d["name"] for d in docs} >= {"capture", "asr"}
-
-    def test_compare_exit_codes(self, capsys, tmp_path):
-        import json
-
-        from repro.obs.regress import BASELINE_PATH
-
-        # Baseline vs itself: pass.
-        current = tmp_path / "current.json"
-        doc = json.loads(BASELINE_PATH.read_text())
-        current.write_text(json.dumps(doc))
-        assert main(["compare", "--current", str(current)]) == 0
-        assert "PASS" in capsys.readouterr().out
-        # Doctored: every stage 10x over budget -> fail.
-        for row in doc["stages"]:
-            row["total_cycles"] *= 10
-        current.write_text(json.dumps(doc))
-        out_json = tmp_path / "gate.json"
-        assert main(["compare", "--current", str(current),
-                     "--output", str(out_json)]) == 1
-        assert "FAIL" in capsys.readouterr().out
-        assert json.loads(out_json.read_text())["passed"] is False
-        # Missing baseline -> distinct exit code.
-        assert main(["compare", "--baseline",
-                     str(tmp_path / "nope.json")]) == 2
 
     def test_trace_events(self, capsys):
         import json

@@ -121,6 +121,17 @@ class TestTaLifecycle:
         with pytest.raises(TeeItemNotFound):
             invoke(tee, sid, 1, Params.of(Value(1, 1)))
 
+    def test_closed_sessions_leave_the_table(self, tee):
+        uuid = tee.install_ta(EchoTa)
+        closed = []
+        for _ in range(20):
+            sid = open_session(tee, uuid)
+            close(tee, sid)
+            closed.append(sid)
+        assert tee.summary()["sessions"] == 0
+        with pytest.raises(TeeItemNotFound, match=f"no session {closed[0]}"):
+            invoke(tee, closed[0], 1, Params.of(Value(1, 1)))
+
     def test_close_is_idempotent(self, tee):
         uuid = tee.install_ta(EchoTa)
         sid = open_session(tee, uuid)
