@@ -33,6 +33,8 @@ throttles and commits every accepted event at admission.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import math
 import weakref
@@ -40,6 +42,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field
 
+from repro.crypto.dh import DhKeyPair
 from repro.errors import RecordError
 from repro.obs.metrics import MetricsRegistry
 from repro.relay.avs import AvsEvent
@@ -206,6 +209,18 @@ class _IngestShard:
         return None
 
 
+@functools.cache
+def avs_identity() -> DhKeyPair:
+    """The static TLS identity of the one cloud service, AVS.
+
+    Every simulated :class:`VoiceCloudService` presents this key, as
+    every real device pins the one AVS key.  It is derived from a fixed
+    label on first use and kept for the process, so importing builds
+    nothing and every worker process derives the same key.
+    """
+    return DhKeyPair.generate(hashlib.sha256(b"repro/avs-identity").digest())
+
+
 class VoiceCloudService:
     """AVS-flavoured endpoint with adversarial logging."""
 
@@ -226,7 +241,7 @@ class VoiceCloudService:
         receives the ``cloud.ingest.*`` namespace; without one the
         service keeps a private registry.
         """
-        self.tls = TlsServer(rng.fork("tls-server"))
+        self.tls = TlsServer(rng.fork("tls-server"), static=avs_identity())
         # Weak, so the service and the TLS server it owns are no cycle.
         service = weakref.proxy(self)
         self.tls.set_handler(

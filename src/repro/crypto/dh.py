@@ -6,16 +6,20 @@ charged from the cost model, not measured from this Python
 implementation, so how fast the host computes it never moves a simulated
 cycle.
 
-Raising the fixed generator multiplies entries of a precomputed table
-(fixed-base windowing, HAC §14.6.3) instead of calling :func:`pow`; the
-result is the same integer.  The table is built on first use, so
-importing this module stays free.
+Every routine here returns the same integer as :func:`pow`.  A base that
+is raised again and again (the generator, a pinned server key) gets a
+precomputed table and is raised by multiplying its entries (fixed-base
+windowing, HAC §14.6.3); one base raised to several exponents shares one
+squaring chain (Yao's method, HAC Algorithm 14.109 with the powers
+computed once per call instead of stored).  Tables are built on first
+use, so importing this module stays free.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 from repro.errors import CryptoError
 
@@ -37,47 +41,96 @@ MODP_GROUP_14 = int(
 GENERATOR = 2
 KEY_BYTES = 256  # 2048 bits
 
-# Fixed-base table geometry: one row per 4-bit digit of the exponent.  65
-# rows cover 260 bits, enough for the at most 257-bit private values that
-# 32 bytes of randomness produce.
+# Window geometry: exponents are read in 4-bit digits.  A fixed-base table
+# has one row per digit; 65 rows cover 260 bits, enough for the at most
+# 257-bit private values that 32 bytes of randomness produce.
 _WINDOW_BITS = 4
+_DIGIT_MASK = (1 << _WINDOW_BITS) - 1
 _TABLE_ROWS = 65
 TABLE_BITS = _WINDOW_BITS * _TABLE_ROWS
 
+#: Fixed-base tables kept at once (~0.3 MiB each): the generator, the
+#: fleet's cloud key and a little slack for a test's own servers.
+TABLE_CACHE_SIZE = 4
 
-@functools.cache
-def _generator_table() -> tuple[tuple[int, ...], ...]:
-    """``rows[i][d] == GENERATOR ** (d * 16**i) % MODP_GROUP_14``."""
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _base_table(base: int) -> tuple[tuple[int, ...], ...]:
+    """``rows[i][d] == base ** (d * 16**i) % MODP_GROUP_14``."""
     rows = []
-    base = GENERATOR  # GENERATOR ** (16**i)
+    power = base % MODP_GROUP_14  # base ** (16**i)
     for _ in range(_TABLE_ROWS):
-        row = [1, base]
+        row = [1, power]
         for _ in range(2, 1 << _WINDOW_BITS):
-            row.append(row[-1] * base % MODP_GROUP_14)
+            row.append(row[-1] * power % MODP_GROUP_14)
         rows.append(tuple(row))
-        base = row[-1] * base % MODP_GROUP_14
+        power = row[-1] * power % MODP_GROUP_14
     return tuple(rows)
 
 
-def generator_pow(exponent: int) -> int:
-    """``pow(GENERATOR, exponent, MODP_GROUP_14)`` for ``exponent >= 0``.
+def fixed_base_pow(base: int, exponent: int) -> int:
+    """``pow(base, exponent, MODP_GROUP_14)`` for ``exponent >= 0``.
 
     One table entry per nonzero digit, at most 65 multiplies where
-    :func:`pow` spends a squaring per exponent bit.  An exponent wider
-    than the table falls back to :func:`pow`.
+    :func:`pow` spends a squaring per exponent bit.  Building ``base``'s
+    table costs about fifteen :func:`pow` calls, so this pays only for a
+    base that recurs.  An exponent wider than the table falls back to
+    :func:`pow`.
     """
     if exponent.bit_length() > TABLE_BITS:
-        return pow(GENERATOR, exponent, MODP_GROUP_14)
-    mask = (1 << _WINDOW_BITS) - 1
+        return pow(base, exponent, MODP_GROUP_14)
     result = 1
-    for row in _generator_table():
+    for row in _base_table(base):
         if not exponent:
             break
-        digit = exponent & mask
+        digit = exponent & _DIGIT_MASK
         if digit:
             result = result * row[digit] % MODP_GROUP_14
         exponent >>= _WINDOW_BITS
     return result
+
+
+def generator_pow(exponent: int) -> int:
+    """``pow(GENERATOR, exponent, MODP_GROUP_14)`` for ``exponent >= 0``."""
+    return fixed_base_pow(GENERATOR, exponent)
+
+
+def shared_chain_pow(base: int, exponents: Iterable[int]) -> list[int]:
+    """``[pow(base, e, MODP_GROUP_14) for e in exponents]``, ``e >= 0``.
+
+    The squarings ``base ** (16**i)`` are computed once for all exponents.
+    Each exponent multiplies every such power into the bucket of its digit
+    at ``i``, so bucket ``d`` holds the product of the powers where its
+    digit is ``d``, and the result is the product of ``bucket[d] ** d``,
+    formed with two running products from the top digit down.  Two
+    exponents cost one chain of squarings instead of two.
+    """
+    exponents = list(exponents)
+    buckets = [[1] * (1 << _WINDOW_BITS) for _ in exponents]
+    power = base % MODP_GROUP_14  # base ** (16**i)
+    while True:
+        for j, exponent in enumerate(exponents):
+            digit = exponent & _DIGIT_MASK
+            if digit:
+                bucket = buckets[j]
+                bucket[digit] = bucket[digit] * power % MODP_GROUP_14
+            exponents[j] = exponent >> _WINDOW_BITS
+        if not any(exponents):
+            break
+        power = pow(power, 1 << _WINDOW_BITS, MODP_GROUP_14)
+    results = []
+    for bucket in buckets:
+        result = running = 1
+        for digit in range(_DIGIT_MASK, 0, -1):
+            running = running * bucket[digit] % MODP_GROUP_14
+            result = result * running % MODP_GROUP_14
+        results.append(result)
+    return results
+
+
+def _check_peer(peer_public: int) -> None:
+    if not 2 <= peer_public <= MODP_GROUP_14 - 2:
+        raise CryptoError("peer public value out of range")
 
 
 @dataclass(frozen=True)
@@ -98,14 +151,32 @@ class DhKeyPair:
     def shared_secret(self, peer_public: int) -> bytes:
         """Compute the shared secret with a peer's public value.
 
-        The base varies per peer, so there is no table to reuse; CPython's
-        :func:`pow` already windows exponents of this size.
+        A peer seen once has no table to reuse; CPython's :func:`pow`
+        already windows exponents of this size.
         """
-        if not 2 <= peer_public <= MODP_GROUP_14 - 2:
-            raise CryptoError("peer public value out of range")
-        secret = pow(peer_public, self.private, MODP_GROUP_14)
-        return secret.to_bytes(KEY_BYTES, "big")
+        _check_peer(peer_public)
+        return _secret_bytes(pow(peer_public, self.private, MODP_GROUP_14))
+
+    def pinned_secret(self, peer_public: int) -> bytes:
+        """:meth:`shared_secret` with a peer that recurs, such as a pinned
+        server key: raised from the peer's fixed-base table."""
+        _check_peer(peer_public)
+        return _secret_bytes(fixed_base_pow(peer_public, self.private))
 
     def public_bytes(self) -> bytes:
         """Wire encoding of the public value."""
         return self.public.to_bytes(KEY_BYTES, "big")
+
+
+def shared_secrets(peer_public: int, keys: Sequence[DhKeyPair]) -> list[bytes]:
+    """``[key.shared_secret(peer_public) for key in keys]`` along one
+    squaring chain of the peer's value."""
+    _check_peer(peer_public)
+    return [
+        _secret_bytes(secret)
+        for secret in shared_chain_pow(peer_public, [k.private for k in keys])
+    ]
+
+
+def _secret_bytes(secret: int) -> bytes:
+    return secret.to_bytes(KEY_BYTES, "big")

@@ -321,13 +321,14 @@ class OpTeeOs:
 
         Charges the RPC overhead secure-side, then rides the monitor's
         return-to-normal-world path so the two world switches are charged
-        at the monitor exactly like any other transition.
+        at the monitor exactly like any other transition.  Both happen
+        inside the ``rpc`` span, so the span holds the RPC's whole cost.
         """
         supplicant = self.supplicant
-        self.machine.cpu.execute(self.machine.costs.supplicant_rpc_cycles)
         self.rpc_count += 1
         self.machine.obs.metrics.inc("optee.rpc")
         with self.machine.obs.span(f"{service}.{method}", category="rpc"):
+            self.machine.cpu.execute(self.machine.costs.supplicant_rpc_cycles)
             return self.machine.monitor.secure_call_to_normal(
                 lambda: supplicant.handle(service, method, *args)
             )

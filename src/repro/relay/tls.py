@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.metrics import MetricsRegistry
 
 from repro.crypto.aead import StreamAead
-from repro.crypto.dh import DhKeyPair
+from repro.crypto.dh import DhKeyPair, shared_secrets
 from repro.crypto.kdf import hkdf_expand, hkdf_extract, hmac_sha256
 from repro.errors import HandshakeError, RecordError
 from repro.sim.rng import SimRng
@@ -84,13 +84,15 @@ def _parse_wire(data: bytes) -> dict:
 class TlsServer:
     """Server side: static identity key + per-connection state.
 
-    ``identity_seed`` deterministically generates the static DH identity;
-    clients pin :attr:`static_public`.
+    ``static`` is the DH identity clients pin (:attr:`static_public`);
+    without one, the server generates its own from ``rng``.
     """
 
-    def __init__(self, rng: SimRng):
+    def __init__(self, rng: SimRng, static: DhKeyPair | None = None):
         self._rng = rng
-        self._static = DhKeyPair.generate(rng.fork("static").bytes(32))
+        if static is None:
+            static = DhKeyPair.generate(rng.fork("static").bytes(32))
+        self._static = static
         self._conn: dict | None = None
 
     @property
@@ -117,9 +119,7 @@ class TlsServer:
         ephemeral = DhKeyPair.generate(self._rng.fork(f"eph{msg['nonce']}").bytes(32))
         server_nonce = self._rng.bytes(16)
         # Bind both the ephemeral DH and the static identity.
-        shared = ephemeral.shared_secret(client_pub) + self._static.shared_secret(
-            client_pub
-        )
+        shared = b"".join(shared_secrets(client_pub, (ephemeral, self._static)))
         keys = _derive_keys(shared, self.static_public, client_nonce, server_nonce)
         finished = hmac_sha256(
             keys["finished"], b"server" + client_nonce + server_nonce
@@ -246,7 +246,7 @@ class TlsClient:
         except _MALFORMED_FIELD as exc:
             raise HandshakeError(f"malformed server hello: {exc}") from exc
         pinned_pub_int = int.from_bytes(self._pinned, "big")
-        shared = ephemeral.shared_secret(server_pub) + ephemeral.shared_secret(
+        shared = ephemeral.shared_secret(server_pub) + ephemeral.pinned_secret(
             pinned_pub_int
         )
         keys = _derive_keys(shared, self._pinned, client_nonce, server_nonce)

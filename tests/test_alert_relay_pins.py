@@ -7,7 +7,11 @@ counters for a delivered and for a spilled-then-drained alert, the
 sha256 of every wire frame, and the literal stdout of a failing
 ``repro health`` run that routes its alert.  The values were recorded
 from the implementation that still carried a separate alert relay; a
-change that moves one of them changed what leaves the device.
+change that moves one of them changed what leaves the device.  The two
+wire digests were re-recorded when every simulated cloud took the one
+fleet identity key (:func:`repro.cloud.service.avs_identity`): the
+handshake's key schedule, and so every ciphertext and MAC byte, changed;
+no frame count, outcome or counter did.
 """
 
 import hashlib
@@ -134,7 +138,7 @@ class TestAlertRouting:
         assert _alert_counters(platform) == {"tee.alerts_sent": 1}
         assert len(platform.supplicant.net.wire_log) == 2
         assert _wire_sha(platform) == (
-            "ae1fa6e8721c116a9a83b3cf8d319122d04341be3003fe09f728f7afce9b8bc2"
+            "5e10dad5b61796d5e17a116cc2e047af4bba910af7e4f2a711b5bf1da06ca30d"
         )
         assert [a["device"] for a in platform.cloud.alerts] == ["dut"]
 
@@ -180,7 +184,7 @@ class TestAlertRouting:
         assert _alert_counters(platform) == {"tee.alerts_queued": 1}
         assert len(platform.supplicant.net.wire_log) == 4
         assert _wire_sha(platform) == (
-            "4b78451dbd0e2872b99c004833185b15aa0d086724f55de525d545eb77ad247c"
+            "1b179ad27b8b400a33fd56c55bc9715f46e2ac4737ede26df46df5210fb8068b"
         )
         assert [a["device"] for a in platform.cloud.alerts] == ["dut"]
 

@@ -1,17 +1,20 @@
 """Unit tests: cloud service recording + leak auditor."""
 
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cloud.auditor import LeakAuditor, transcript_match
-from repro.cloud.service import VoiceCloudService
-from repro.errors import RecordError
+from repro.cloud.service import VoiceCloudService, avs_identity
+from repro.core.platform import IotPlatform
+from repro.errors import HandshakeError, RecordError
 from repro.ml.dataset import SensitiveCategory, Utterance
 from repro.relay.avs import AvsClient, AvsEvent
-from repro.relay.tls import TlsClient
+from repro.relay.tls import TlsClient, TlsServer
 from repro.sim.clock import SimClock
 from repro.sim.rng import SimRng
 
@@ -51,6 +54,33 @@ class TestCloudService:
     def test_garbage_gets_error_directive(self, cloud):
         reply = cloud.plaintext_endpoint.receive(b'{"not": "an event"}')
         assert b"error" in reply
+
+
+class TestFleetIdentity:
+    """Every simulated cloud is the one AVS service, with one static key."""
+
+    def test_platforms_present_one_key(self):
+        keys = {
+            IotPlatform.create(seed=seed).cloud.tls.static_public
+            for seed in (1, 2, 1000, 2000)
+        }
+        assert keys == {avs_identity().public_bytes()}
+
+    def test_spawn_workers_derive_the_same_key(self):
+        """The spawn workers ``run_fleet(shards=2)`` runs devices in derive
+        the key afresh, and it is the parent's."""
+        ctx = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
+            keys = [f.result() for f in [pool.submit(avs_identity) for _ in range(2)]]
+        assert keys == [avs_identity(), avs_identity()]
+
+    def test_pinned_device_rejects_another_key(self):
+        pinned = IotPlatform.create(seed=3).cloud.tls.static_public
+        impostor = TlsServer(SimRng(9, "impostor"))
+        assert impostor.static_public != pinned
+        client = TlsClient(impostor.handle, pinned, SimRng(2, "device"))
+        with pytest.raises(HandshakeError, match="MITM|finished"):
+            client.handshake()
 
 
 class TestDedupScopedPerDevice:

@@ -1,19 +1,26 @@
 """Unit + property tests: KDF, AEAD, DH."""
 
 import hashlib
+import random
 import subprocess
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cloud.service import avs_identity
+from repro.crypto import dh
 from repro.crypto.aead import StreamAead
 from repro.crypto.dh import (
     GENERATOR,
     MODP_GROUP_14,
     TABLE_BITS,
+    TABLE_CACHE_SIZE,
     DhKeyPair,
+    fixed_base_pow,
     generator_pow,
+    shared_chain_pow,
+    shared_secrets,
 )
 from repro.crypto.kdf import derive_key, hkdf_expand, hkdf_extract, hmac_sha256
 from repro.errors import AuthenticationFailure, CryptoError
@@ -178,8 +185,93 @@ class TestGeneratorTable:
             ), exponent.bit_length()
 
     def test_import_builds_no_table(self):
+        """Neither a table (the generator's or any other base's) nor the
+        fleet's cloud identity exists until a handshake asks for one."""
         code = (
-            "import repro, repro.crypto.dh as dh; "
-            "assert dh._generator_table.cache_info().currsize == 0"
+            "import repro, repro.crypto.dh as dh, repro.cloud.service as s; "
+            "assert dh._base_table.cache_info().currsize == 0; "
+            "assert s.avs_identity.cache_info().currsize == 0"
         )
         subprocess.run([sys.executable, "-c", code], check=True)
+
+
+def _width_sweep() -> list[int]:
+    """0 and, for each width up to past the table, the lowest, highest and
+    a mixed exponent of that width."""
+    exponents = {0, 1, 2, 3, (1 << 256) + 1}
+    for bits in range(1, TABLE_BITS + 9):
+        top = 1 << (bits - 1)
+        exponents |= {top, (top << 1) - 1, top | (0x5A5A5A5A5 % top)}
+    return sorted(exponents)
+
+
+#: One base from the group's whole range, fixed so a failure reproduces.
+_RANDOM_BASE = random.Random(25).randrange(2, MODP_GROUP_14 - 1)
+
+
+def _of_width(bits: int):
+    """Exponents of exactly ``bits`` bits (0 for width 0)."""
+    if bits == 0:
+        return st.just(0)
+    return st.integers(1 << (bits - 1), (1 << bits) - 1)
+
+
+class TestFixedBaseTable:
+    @pytest.mark.parametrize("which", ["fleet-identity", "random-base"])
+    def test_every_bit_length_matches_pow(self, which):
+        base = avs_identity().public if which == "fleet-identity" else _RANDOM_BASE
+        for exponent in _width_sweep():
+            assert fixed_base_pow(base, exponent) == pow(
+                base, exponent, MODP_GROUP_14
+            ), exponent.bit_length()
+
+    def test_cache_holds_at_most_its_bound(self):
+        bases = [_RANDOM_BASE + i for i in range(TABLE_CACHE_SIZE + 2)]
+        for base in bases:
+            assert fixed_base_pow(base, 0x5A5A) == pow(base, 0x5A5A, MODP_GROUP_14)
+        info = dh._base_table.cache_info()
+        assert info.maxsize == TABLE_CACHE_SIZE
+        assert info.currsize == TABLE_CACHE_SIZE
+
+    def test_pinned_secret_matches_shared_secret(self):
+        client = DhKeyPair.generate(b"c" * 32)
+        server = avs_identity()
+        assert client.pinned_secret(server.public) == client.shared_secret(
+            server.public
+        )
+        for bad in (0, 1, MODP_GROUP_14 - 1, MODP_GROUP_14):
+            with pytest.raises(CryptoError):
+                client.pinned_secret(bad)
+
+
+class TestSharedChain:
+    def test_every_bit_length_matches_pow(self):
+        exponents = _width_sweep()
+        assert shared_chain_pow(_RANDOM_BASE, exponents) == [
+            pow(_RANDOM_BASE, e, MODP_GROUP_14) for e in exponents
+        ]
+
+    @given(
+        base=st.integers(2, MODP_GROUP_14 - 2),
+        exponents=st.lists(
+            st.integers(0, TABLE_BITS + 8).flatmap(_of_width),
+            min_size=1, max_size=4,
+        ),
+        repeat=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_property_matches_pow(self, base, exponents, repeat):
+        """Random bases, exponents of any width up to past the table, and
+        (``repeat``) an exponent listed twice."""
+        if repeat:
+            exponents = exponents + exponents[:1]
+        assert shared_chain_pow(base, exponents) == [
+            pow(base, e, MODP_GROUP_14) for e in exponents
+        ]
+
+    def test_shared_secrets_match_one_at_a_time(self):
+        peer = DhKeyPair.generate(b"p" * 32).public
+        keys = (DhKeyPair.generate(b"e" * 32), avs_identity())
+        assert shared_secrets(peer, keys) == [k.shared_secret(peer) for k in keys]
+        with pytest.raises(CryptoError):
+            shared_secrets(MODP_GROUP_14 - 1, keys)

@@ -414,25 +414,35 @@ class TestDefaultIngestByteIdentity:
     final clock and switch count, and the cloud's records read before and
     after ``flush()``.  The admission tier must reproduce every one of
     them.
+
+    The three ``wire`` entries were re-recorded when every simulated
+    cloud took the one fleet identity key
+    (:func:`repro.cloud.service.avs_identity`) instead of a key of its
+    own: the handshake's key schedule changed, so every ciphertext and
+    MAC byte on the wire did, while frame counts and sizes did not.  The
+    other four digests per seed are the sink's, unedited: what was
+    decided, what it cost in cycles and world switches, and what the
+    cloud recorded before and after ``flush()``.  They still prove that
+    the admission tier reproduces the sink.
     """
 
     SINK_DIGESTS = {
         437: {
-            "wire": "0301f1e1009c3a69d461611602a2da03736ac776ee42c03ceb2a471c8a718431",
+            "wire": "2493fbd4921c698d16ca97d77d0c4485c797d82492849862be545473e401a46c",
             "decisions": "6f755497dacdab5110a5e8a355229c7f83aa8281fbbc67c8eba27308026be9ee",
             "clock": "d04d36d1b227aa9601587b7732809b7d4c80f221c0514f3206e230debd0687c0",
             "received_before_flush": "561eb0e596ae61c9455394eaac62d5b805b332725f554d0e1b12f1ec511a5ecb",
             "received_after_flush": "561eb0e596ae61c9455394eaac62d5b805b332725f554d0e1b12f1ec511a5ecb",
         },
         438: {
-            "wire": "c7a31636911d7ef43fcae3a37b3c35f561a83f9faab457e5678db333ed4cd80d",
+            "wire": "9b60fdfe664e748998a098ca7a79d073691b6564315f5a6dbc4c50c06742ced1",
             "decisions": "9179218823e5f902a5b79f0cb57e09181456b15d8f4f0f1a487b56fe5da263bb",
             "clock": "6d577805fe64df545c946144328dc87d58cfef285a5baec2aa1c8cac913a63ea",
             "received_before_flush": "9d51e52d5b92a05eb26fd3d40e7e74fbd089fc412750e799b5ae3d406f5ec88e",
             "received_after_flush": "9d51e52d5b92a05eb26fd3d40e7e74fbd089fc412750e799b5ae3d406f5ec88e",
         },
         439: {
-            "wire": "29522ac759e09c91d330f1f14edeeb130c32b26cd3794ea10bd5b8f635a2a6a4",
+            "wire": "9b61e4c20be21fc3593c7eeb2fe308cd88c3521ea98243ef91621365106d3100",
             "decisions": "799694f8db271419631b5e60c283f06fb006b017af5ec884d4bf27b0b181a140",
             "clock": "e880d55b5b308f0fa1a65253a9afbe02c61676c96021a8b9abc65be15860b31a",
             "received_before_flush": "c8f4919c770a6079ff8a5a2be647c0c067ce4731ef4442031347ab274a412f2b",

@@ -26,6 +26,7 @@ import pytest
 
 from repro.obs.profile import collect_profile
 from repro.provision import provision_bundle
+from repro.tz.costs import CostModel
 
 BASELINES = (
     pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "baselines"
@@ -37,6 +38,29 @@ DOCUMENTS = ("profile_baseline.json", "profile_baseline_continuous.json")
 def bundle():
     """The bundle ``repro profile --seed 7`` provisions, trained once."""
     return provision_bundle(seed=7).bundle
+
+
+@pytest.fixture(scope="module")
+def measure(bundle):
+    """``measure(name)``: the committed document ``name`` and the same
+    profile measured again, each measured once per module."""
+    measured = {}
+
+    def run(name):
+        if name not in measured:
+            pinned = json.loads((BASELINES / name).read_text())
+            assert pinned["seed"] == 7, (
+                "the shared bundle is provisioned from seed 7"
+            )
+            measured[name] = pinned, collect_profile(
+                seed=pinned["seed"],
+                utterances=pinned["utterances"],
+                bundle=bundle,
+                continuous=pinned["mode"] == "continuous",
+            ).to_doc()
+        return measured[name]
+
+    return run
 
 
 def moved_values(pinned: dict, got: dict) -> list[str]:
@@ -68,17 +92,25 @@ def moved_values(pinned: dict, got: dict) -> list[str]:
 
 
 @pytest.mark.parametrize("name", DOCUMENTS)
-def test_profile_matches_committed_document(name, bundle):
-    pinned = json.loads((BASELINES / name).read_text())
-    assert pinned["seed"] == 7, "the shared bundle is provisioned from seed 7"
-    got = collect_profile(
-        seed=pinned["seed"],
-        utterances=pinned["utterances"],
-        bundle=bundle,
-        continuous=pinned["mode"] == "continuous",
-    ).to_doc()
+def test_profile_matches_committed_document(name, measure):
+    pinned, got = measure(name)
     moved = moved_values(pinned, got)
     assert got == pinned, f"{name}: {len(moved)} moved\n" + "\n".join(moved)
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_rpc_row_holds_the_rpc_overhead(name, measure):
+    """Each supplicant RPC's fixed overhead is charged inside its ``rpc``
+    span, so the pseudo-stage carries at least that much per RPC."""
+    _, got = measure(name)
+    (row,) = [
+        r for r in got["stages"]
+        if (r["pipeline"], r["stage"]) == ("secure", "supplicant_rpc")
+    ]
+    assert row["count"] > 0
+    assert row["total_cycles"] >= (
+        row["count"] * CostModel().supplicant_rpc_cycles
+    )
 
 
 def test_moved_values_names_each_change():
