@@ -20,10 +20,10 @@ def run_energy(bundle, secure: bool, n=8):
     else:
         pipeline = BaselinePipeline(platform, bundle.asr, use_tls=True)
     workload = make_workload(bundle, n=n, seed=103)
-    before = platform.energy.snapshot()
+    before = platform.machine.clock.snapshot()
     run = pipeline.process(workload)
-    delta = platform.energy.delta_since(before)
-    return run, delta, len(workload)
+    cycles = platform.machine.clock.snapshot().delta(before)
+    return run, platform.energy.of(cycles), len(workload)
 
 
 def test_t4_energy(benchmark, bundle_cnn):

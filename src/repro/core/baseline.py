@@ -142,7 +142,6 @@ class BaselinePipeline:
         costs = machine.costs
         platform.mic.swap_source(BufferSource(item.pcm))
         clock_before = machine.clock.snapshot()
-        energy_before = platform.energy.snapshot()
         obs = machine.obs
 
         with obs.span("utterance", category="pipeline.baseline"):
@@ -186,7 +185,7 @@ class BaselinePipeline:
                     self._avs.recognize(payload)
 
         clock_after = machine.clock.snapshot()
-        energy = platform.energy.delta_since(energy_before)
+        domain_cycles = clock_after.delta(clock_before)
         return UtteranceResult(
             utterance=item.utterance,
             transcript=transcript,
@@ -194,8 +193,8 @@ class BaselinePipeline:
             forwarded=forwarded,
             payload=payload,
             latency_cycles=clock_after.now - clock_before.now,
-            energy_mj=energy.total_mj,
-            domain_cycles=clock_after.delta(clock_before),
+            energy_mj=platform.energy.of(domain_cycles).total_mj,
+            domain_cycles=domain_cycles,
         )
 
     def process(

@@ -119,7 +119,6 @@ class SecurePipeline:
         machine = self.platform.machine
         self.platform.mic.swap_source(BufferSource(item.pcm))
         clock_before = machine.clock.snapshot()
-        energy_before = self.platform.energy.snapshot()
         with machine.obs.span("utterance", category="pipeline.secure"):
             if self.supervisor is not None:
                 self._seq += 1
@@ -151,7 +150,7 @@ class SecurePipeline:
                     CMD_PROCESS, Params.of(Value(a=item.frames))
                 )
         clock_after = machine.clock.snapshot()
-        energy = self.platform.energy.delta_since(energy_before)
+        domain_cycles = clock_after.delta(clock_before)
         return UtteranceResult(
             utterance=item.utterance,
             transcript=record["transcript"],
@@ -159,8 +158,8 @@ class SecurePipeline:
             forwarded=record["forwarded"],
             payload=record["payload"],
             latency_cycles=clock_after.now - clock_before.now,
-            energy_mj=energy.total_mj,
-            domain_cycles=clock_after.delta(clock_before),
+            energy_mj=self.platform.energy.of(domain_cycles).total_mj,
+            domain_cycles=domain_cycles,
             relay_status=record.get("relay_status", ""),
             relay_attempts=record.get("relay_attempts", 0),
             degraded=record.get("degraded", False),
@@ -227,7 +226,6 @@ class SecurePipeline:
         )
         self.platform.mic.swap_source(BufferSource(stream))
         clock_before = machine.clock.snapshot()
-        energy_before = self.platform.energy.snapshot()
         with machine.obs.span("stream", category="pipeline.secure",
                               samples=len(stream)):
             records = self.session.invoke(
@@ -238,8 +236,8 @@ class SecurePipeline:
         # measurement window so the run's totals reconstruct the whole
         # call's clock/energy deltas, not the stream invoke alone.
         self._collect_stats(run)
-        clock_after = machine.clock.snapshot()
-        energy = self.platform.energy.delta_since(energy_before)
+        domain_delta = machine.clock.snapshot().delta(clock_before)
+        energy = self.platform.energy.of(domain_delta)
 
         items = list(workload)
         run.over_segmented = max(0, len(records) - len(items))
@@ -261,7 +259,6 @@ class SecurePipeline:
         # (latency minus the peripheral slice) non-negative by
         # construction.
         n = max(1, min(len(items), len(records)))
-        domain_delta = clock_after.delta(clock_before)
         for i, (item, record) in enumerate(zip(items, records)):
             domains = {
                 d: v * (i + 1) // n - v * i // n

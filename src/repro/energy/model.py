@@ -7,10 +7,16 @@ count — TEE exception-level plumbing and cache behaviour — and the
 monitor's world-switch work is charged at the higher secure rate too.
 As with the cycle cost model, the *relative* structure is what the
 reproduction's trends rest on.
+
+Energy is a function of the clock's per-domain cycle totals, priced in
+closed form (power × cycles / frequency) whenever it is read: the meter
+is not notified of individual charges and keeps no float of its own.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.sim.clock import CycleDomain, SimClock
@@ -53,60 +59,43 @@ class EnergyReport:
 
 @dataclass
 class EnergyMeter:
-    """Integrates the power model over clock charges.
+    """Prices the clock's per-domain cycle totals with the power model.
 
-    Subscribe once per clock; read with :meth:`report`, or bracket a region
-    with :meth:`snapshot` / :meth:`delta_since`.
+    Energy is linear in cycles: a domain's share is ``power_mw × cycles /
+    freq_hz`` (mW × s = mJ), and the total is their exactly rounded sum
+    (``math.fsum``).  The meter keeps no running sum, so energy depends
+    on the per-domain totals alone, never on how the charges that made
+    them were ordered or split.  :meth:`of` prices any per-domain
+    cycle counts (a span's ``domain_cycles``, a
+    :meth:`~repro.sim.clock.ClockSnapshot.delta`); :meth:`report` prices
+    everything charged since the meter was created.
     """
 
     clock: SimClock
     power: PowerModel = field(default_factory=PowerModel)
-    _energy_mj: dict[CycleDomain, float] = field(default_factory=dict)
-    _power_mw: dict[CycleDomain, float] = field(default_factory=dict, repr=False)
+    _power_mw: dict[CycleDomain, float] = field(init=False, repr=False)
+    _start: dict[CycleDomain, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        # The power table is immutable (frozen dataclass): resolve it once
-        # instead of rebuilding the lookup dict on every clock charge —
-        # this listener runs on the simulator's hottest path.
-        power_mw = self._power_mw = {
-            d: self.power.power_mw(d) for d in CycleDomain
+        # The power table is immutable (frozen dataclass): resolve it once.
+        self._power_mw = {d: self.power.power_mw(d) for d in CycleDomain}
+        self._start = self.clock.snapshot().per_domain
+
+    def of(self, domain_cycles: Mapping[CycleDomain, int]) -> EnergyReport:
+        """The energy of per-domain cycle counts, zero counts left out."""
+        power_mw, freq_hz = self._power_mw, self.clock.freq_hz
+        per_domain = {
+            d: power_mw[d] * cycles / freq_hz
+            for d, cycles in domain_cycles.items() if cycles
         }
-        energy, freq_hz = self._energy_mj, self.clock.freq_hz
-
-        def on_charge(domain: CycleDomain, cycles: int) -> None:
-            # mW * s = mJ, accumulated in charge order (float sums depend
-            # on it).
-            energy[domain] = energy.get(domain, 0.0) + power_mw[domain] * (
-                cycles / freq_hz
-            )
-
-        # A closure over the totals, not a bound method, so the clock does
-        # not reference the meter, which references the clock.
-        self._on_charge = on_charge
-        self.clock.subscribe(on_charge)
+        return EnergyReport(
+            total_mj=math.fsum(per_domain.values()), per_domain_mj=per_domain
+        )
 
     def report(self) -> EnergyReport:
-        """Cumulative energy since meter creation."""
-        return EnergyReport(
-            total_mj=sum(self._energy_mj.values()),
-            per_domain_mj=dict(self._energy_mj),
-        )
-
-    def snapshot(self) -> dict[CycleDomain, float]:
-        """Current per-domain totals, for delta measurement."""
-        return dict(self._energy_mj)
-
-    def delta_since(self, snapshot: dict[CycleDomain, float]) -> EnergyReport:
-        """Energy accumulated since a snapshot."""
-        per_domain = {}
-        for domain, mj in self._energy_mj.items():
-            diff = mj - snapshot.get(domain, 0.0)
-            if diff > 0:
-                per_domain[domain] = diff
-        return EnergyReport(
-            total_mj=sum(per_domain.values()), per_domain_mj=per_domain
-        )
-
-    def detach(self) -> None:
-        """Stop metering (unsubscribe from the clock)."""
-        self.clock.unsubscribe(self._on_charge)
+        """Energy of every cycle charged since the meter's creation."""
+        start = self._start
+        return self.of({
+            d: cycles - start.get(d, 0)
+            for d, cycles in self.clock.snapshot().per_domain.items()
+        })

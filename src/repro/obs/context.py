@@ -3,19 +3,20 @@
 One :class:`Observability` instance hangs off every
 :class:`~repro.tz.machine.TrustZoneMachine` as ``machine.obs``, bundling
 the span tracer and the metrics registry so instrumented subsystems reach
-both through a single attribute.  It also subscribes to the clock to keep
-live per-domain cycle counters in the registry (``cycles.<domain>``),
-which gives ``repro profile`` whole-run domain totals without any
-subsystem having to report them.
+both through a single attribute.  The registry's per-domain cycle
+counters (``cycles.<domain>``) are derived from the clock's per-domain
+totals whenever the registry is read, merged or exported, which gives
+``repro profile`` whole-run domain totals without any subsystem having
+to report them and without any work per clock charge.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import Counter, MetricsRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import SpanTracer, _ActiveSpan
-from repro.sim.clock import CycleDomain, SimClock
+from repro.sim.clock import SimClock
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.energy.model import EnergyMeter
@@ -29,23 +30,15 @@ class Observability:
     def __init__(self, clock: SimClock, cpu: "Cpu | None" = None):
         self.metrics = metrics = MetricsRegistry()
         self.tracer = SpanTracer(clock, cpu=cpu, metrics=metrics)
-        # Each domain's counter, kept once a charge has created it in the
-        # registry; the registry never drops a counter.
-        counters: dict[CycleDomain, Counter] = {}
-
-        def on_charge(domain: CycleDomain, cycles: int) -> None:
-            if metrics.enabled:
-                counter = counters.get(domain)
-                if counter is None:
-                    counter = counters[domain] = metrics.counter(
-                        f"cycles.{domain.value}"
-                    )
-                counter.value += cycles  # clock charges are never negative
-
-        # A closure over the registry rather than a bound method: the
-        # tracer holds the clock, so a clock holding this object would be
-        # a reference cycle (see DESIGN.md, "Device teardown").
-        clock.subscribe(on_charge)
+        # Cycles charged since this context was created, per domain that
+        # has any.  A closure over the clock alone: the registry must not
+        # refer back to anything that holds it (DESIGN.md, "Device
+        # teardown").
+        start = clock.snapshot()
+        metrics.derive_counters(lambda: {
+            f"cycles.{domain.value}": cycles
+            for domain, cycles in clock.snapshot().delta(start).items()
+        })
 
     # -- convenience -----------------------------------------------------------
 
@@ -66,12 +59,15 @@ class Observability:
 
         Spans and events already retained are dropped too, so a machine
         disabled right after construction keeps none of its boot events.
-        Spans still *measure* (TA stage accounting depends on their
-        durations); they just are not kept or counted, and events are
-        discarded.  An attached flight recorder keeps receiving both.
-        Because instrumentation is passive either way, a disabled run
-        produces byte-identical pipeline outcomes to an enabled one.
+        The ``cycles.<domain>`` counters freeze at their current values,
+        so that machine has none.  Spans still *measure* (TA stage
+        accounting depends on their durations); they just are not kept
+        or counted, and events are discarded.  An attached flight
+        recorder keeps receiving both.  Because instrumentation is
+        passive either way, a disabled run produces byte-identical
+        pipeline outcomes to an enabled one.
         """
         self.tracer.enabled = False
         self.tracer.clear()
         self.metrics.enabled = False
+        self.metrics.derive_counters(None)

@@ -431,6 +431,9 @@ def simulate_device_runtime(
     battery = project_battery_life(per_utt_mj)
 
     metrics = machine.obs.metrics
+    # The run is over: freeze the clock-derived counters, so the report's
+    # registry is a plain, picklable document that refers to no clock.
+    metrics.derive_counters(None)
     # Pre-create every fleet counter so the registry's counter set is
     # identical whether the run had traffic for it or not (merges and
     # exports depend on the namespace, not the values).

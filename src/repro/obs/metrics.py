@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
 
@@ -422,15 +423,41 @@ class MetricsRegistry:
         # Windowed time series for burn-rate SLOs.
         self.snapshot_capacity = snapshot_capacity
         self._snapshots: list[RegistrySnapshot] = []
+        # Counters kept by another record (see derive_counters).
+        self._derive: Callable[[], dict[str, int]] | None = None
 
     # -- access / creation -----------------------------------------------------
 
     def counter(self, name: str) -> Counter:
         """Get or create the counter ``name``."""
+        self._sync_derived()
+        return self._counter(name)
+
+    def _counter(self, name: str) -> Counter:
         c = self._counters.get(name)
         if c is None:
             c = self._counters[name] = Counter(name)
         return c
+
+    def derive_counters(
+        self, source: Callable[[], dict[str, int]] | None
+    ) -> None:
+        """Mirror counters another record keeps, read from ``source()``.
+
+        ``source`` returns the current value of each derived counter; the
+        registry copies them in whenever it is read (:meth:`counter`,
+        :meth:`counters`, :meth:`to_doc`) or merged into another, and
+        costs the recording side nothing.  ``None`` freezes the derived
+        counters at their current values and drops the source, which
+        leaves the registry a plain document.
+        """
+        self._sync_derived()
+        self._derive = source
+
+    def _sync_derived(self) -> None:
+        if self._derive is not None:
+            for name, value in self._derive().items():
+                self._counter(name).value = value
 
     def gauge(self, name: str) -> Gauge:
         """Get or create the gauge ``name``."""
@@ -451,7 +478,7 @@ class MetricsRegistry:
     def inc(self, name: str, n: int = 1) -> None:
         """Increment counter ``name`` by ``n`` (no-op while disabled)."""
         if self.enabled:
-            self.counter(name).inc(n)
+            self._counter(name).inc(n)
 
     def set(self, name: str, value: float) -> None:
         """Set gauge ``name`` (no-op while disabled)."""
@@ -538,6 +565,7 @@ class MetricsRegistry:
 
     def counters(self, prefix: str = "") -> dict[str, int]:
         """Counter values whose names start with ``prefix``."""
+        self._sync_derived()
         return {
             name: c.value
             for name, c in sorted(self._counters.items())
@@ -571,8 +599,8 @@ class MetricsRegistry:
         (e.g. energy per utterance) as histograms instead, so merging
         preserves the distribution rather than inflating the reading.
         """
-        for name, c in other._counters.items():
-            self.counter(name).inc(c.value)
+        for name, value in other.counters().items():
+            self._counter(name).inc(value)
         for name, g in other._gauges.items():
             self.gauge(name).set(self.gauge(name).value + g.value)
         for name, h in other._histograms.items():
@@ -594,7 +622,7 @@ class MetricsRegistry:
         do not use it: they pickle their reports, registries included.
         """
         return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
+            "counters": self.counters(),
             "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
             "histograms": {
                 n: h.to_doc() for n, h in sorted(self._histograms.items())

@@ -14,13 +14,14 @@ recorded and exported like any other span.  Events do not feed the
 metrics registry (counters already count what they report) and do not
 count as watchdog heartbeats.
 
-Measurement is *passive*: opening or closing a span reads the clock, the
-CPU switch counter and the energy meter but never charges cycles, never
-touches the RNG, and never alters control flow — runs are byte-identical
-with tracing enabled or disabled.  The TA-side stage accounting
-(``CMD_STATS``) reads span durations, so spans always measure even while
-*retention* is disabled; disabling only stops the tracer from keeping
-spans and events and from feeding metrics.
+Measurement is *passive*: opening or closing a span reads the clock and
+the CPU switch counter (a span's energy is its ``domain_cycles`` priced
+by the energy meter) but never charges cycles, never touches the RNG,
+and never alters control flow — runs are byte-identical with tracing
+enabled or disabled.  The TA-side stage accounting (``CMD_STATS``) reads
+span durations, so spans always measure even while *retention* is
+disabled; disabling only stops the tracer from keeping spans and events
+and from feeding metrics.
 
 Exports: JSON Lines (:meth:`SpanTracer.to_jsonl`, one
 :meth:`Span.to_doc` per line, as ``repro trace`` prints them) and the
@@ -102,8 +103,7 @@ class Span:
 class _ActiveSpan:
     """Context manager for one in-flight span."""
 
-    __slots__ = ("_tracer", "span", "_start_domains", "_start_switches",
-                 "_start_energy")
+    __slots__ = ("_tracer", "span", "_start_domains", "_start_switches")
 
     def __init__(self, tracer: "SpanTracer", span: Span):
         self._tracer = tracer
@@ -149,7 +149,7 @@ class SpanTracer:
         self._next_id = 1
 
     def attach_energy(self, meter: "EnergyMeter") -> None:
-        """Wire the platform's energy meter for per-span energy deltas."""
+        """Wire the platform's energy meter to price each span's cycles."""
         self._energy = meter
 
     def attach_recorder(self, recorder: "FlightRecorder | None") -> None:
@@ -203,9 +203,6 @@ class SpanTracer:
         active._start_switches = (
             self._cpu.switch_count if self._cpu is not None else 0
         )
-        active._start_energy = (
-            self._energy.snapshot() if self._energy is not None else None
-        )
         self._stack.append(sp)
 
     def _end(self, active: _ActiveSpan) -> None:
@@ -225,8 +222,8 @@ class SpanTracer:
         }
         if self._cpu is not None:
             sp.world_switches = self._cpu.switch_count - active._start_switches
-        if self._energy is not None and active._start_energy is not None:
-            sp.energy_mj = self._energy.delta_since(active._start_energy).total_mj
+        if self._energy is not None:
+            sp.energy_mj = self._energy.of(sp.domain_cycles).total_mj
         if self._keep(sp) and self._metrics is not None:
             self._metrics.observe(f"{sp.category}.{sp.name}.cycles", sp.cycles)
             self._metrics.inc(f"{sp.category}.{sp.name}.count")

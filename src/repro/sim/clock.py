@@ -3,8 +3,10 @@
 The clock is the single source of simulated time.  Components never call
 ``time.time()``; they *charge* cycles to the clock, tagged with the
 :class:`CycleDomain` the work ran in (secure CPU, normal CPU, DMA, ...).
-The energy model and the benchmark harness read those per-domain counters
-back to compute latency, throughput and energy.
+Its per-domain totals are the only record of simulated cost: nothing is
+notified per charge.  The energy meter, the ``cycles.<domain>`` counters
+and the benchmark harness read those totals back to compute latency,
+throughput and energy.
 
 The CPU frequency is fixed (the Jetson AGX Xavier's Carmel cores nominally
 run at 2.26 GHz; we default to a round 2.0 GHz) so cycles convert to
@@ -15,7 +17,6 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 #: The default simulated core frequency (see :class:`SimClock`).
@@ -87,7 +88,6 @@ class SimClock:
     _per_domain: dict[CycleDomain, int] = field(
         default_factory=lambda: defaultdict(int)
     )
-    _listeners: list[Callable[[CycleDomain, int], None]] = field(default_factory=list)
 
     @property
     def now(self) -> int:
@@ -111,8 +111,6 @@ class SimClock:
             return self._now
         self._now += cycles
         self._per_domain[domain] += cycles
-        for listener in self._listeners:
-            listener(domain, cycles)
         return self._now
 
     def cycles_in(self, domain: CycleDomain) -> int:
@@ -126,17 +124,3 @@ class SimClock:
     def snapshot(self) -> ClockSnapshot:
         """Capture current totals for later delta measurement."""
         return ClockSnapshot(now=self._now, per_domain=dict(self._per_domain))
-
-    def subscribe(self, listener: Callable[[CycleDomain, int], None]) -> None:
-        """Register a callback invoked as ``listener(domain, cycles)`` per charge.
-
-        The energy meter integrates power over time through one, and
-        :class:`~repro.obs.context.Observability` counts cycles per domain
-        through another.  Listeners run in subscription order.
-        """
-        self._listeners.append(listener)
-
-    def unsubscribe(self, listener: Callable[[CycleDomain, int], None]) -> None:
-        """Remove a previously registered listener (no-op if absent)."""
-        if listener in self._listeners:
-            self._listeners.remove(listener)

@@ -7,10 +7,11 @@ dropped charge shows up there as one opaque mismatch; these pins name the
 rig and the charge sequence instead.  They move only with a deliberate,
 documented cost-model change.
 
-Each pin holds the sha256 of the ``domain:cycles`` lines a clock listener
-saw, the number of charges, ``float.hex()`` of each domain's energy in
-the :class:`EnergyMeter` report, in the report's order (float sums depend
-on the order of their terms), and the final ``clock.now``.
+Each pin holds the sha256 of the ``domain:cycles`` lines of every
+non-zero charge, the number of those charges, ``float.hex()`` of each
+domain's energy in the :class:`EnergyMeter` report, in the report's order,
+and the final ``clock.now``.  Energy is priced from the per-domain totals,
+so the energy values pin those totals.
 """
 
 import hashlib
@@ -25,15 +26,23 @@ from repro.sim.rng import SimRng
 
 
 def _record(clock):
-    """Subscribe a listener hashing every charge; returns (digest, count)."""
+    """Wrap this clock's ``advance`` to hash every charge that moves it.
+
+    A zero charge moves nothing and is not recorded; a rejected (negative)
+    one raises before it is.  Returns (digest, count).
+    """
     digest = hashlib.sha256()
     count = [0]
+    advance = clock.advance
 
-    def listener(domain, cycles):
-        digest.update(f"{domain.value}:{cycles}\n".encode())
-        count[0] += 1
+    def recording_advance(cycles, domain):
+        now = advance(cycles, domain)
+        if cycles:
+            digest.update(f"{domain.value}:{cycles}\n".encode())
+            count[0] += 1
+        return now
 
-    clock.subscribe(listener)
+    clock.advance = recording_advance
     return digest, count
 
 
@@ -59,8 +68,8 @@ def test_t13_kernel_rig_charge_stream():
         "sha256": "b30ee24d329159df983ebe7e4e27ce7069c945769e6a3c8c4f4aa5074da40f7a",
         "charges": 920,
         "energy_mj": [
-            ("normal_cpu", "0x1.8a86d71f36250p-4"),
-            ("peripheral", "0x1.eb851eb851ea1p+3"),
+            ("normal_cpu", "0x1.8a86d71f36263p-4"),
+            ("peripheral", "0x1.eb851eb851eb8p+3"),
         ],
         "now": 512102788,
     }
@@ -83,10 +92,10 @@ def test_default_platform_charge_stream(provisioned):
         "sha256": "48dd38b00eca6b4fdb22bd22d37575bc17d88bff2d0b5e4fc3946d1ee7bf6151",
         "charges": 3039,
         "energy_mj": [
-            ("monitor", "0x1.6abde3fbbd7b0p-4"),
+            ("monitor", "0x1.6abde3fbbd7b2p-4"),
             ("normal_cpu", "0x1.205bc01a36e2fp-7"),
-            ("secure_cpu", "0x1.93ae0c1765648p+0"),
-            ("peripheral", "0x1.7ffffffffffdcp+5"),
+            ("secure_cpu", "0x1.93ae0c1765775p+0"),
+            ("peripheral", "0x1.8000000000000p+5"),
         ],
         "now": 1601549460,
     }

@@ -3,10 +3,9 @@
 The device graph has no reference cycles: the monitor's SMC handlers, the
 PTA's interrupt handler and the TLS callbacks reach their owners through
 weak proxies, TA and PTA contexts and sealed storage refer back weakly or
-not at all, the I2S bus refers to its controller weakly, and the clock's
-listeners are closures over the totals they update.  So when the last
-handle on a finished device drops, its machine, tracer and spans go at
-once instead of waiting for a full cyclic collection, which a long run
+not at all, and the I2S bus refers to its controller weakly.  So when the
+last handle on a finished device drops, its machine, tracer and spans go
+at once instead of waiting for a full cyclic collection, which a long run
 reaches rarely: a run's peak RSS would otherwise grow with the number of
 devices it finished (about 1.4 MiB per 170-utterance device).
 
@@ -46,6 +45,9 @@ def test_finished_device_needs_no_cyclic_collection(provisioned, profile):
                 "machine": runtime.machine,
                 "platform": platform,
                 "tracer": runtime.machine.obs.tracer,
+                "metrics": runtime.machine.obs.metrics,
+                "clock": runtime.machine.clock,
+                "energy": platform.energy,
                 "tee": platform.tee,
                 "cloud": platform.cloud,
                 "supplicant": platform.supplicant,

@@ -11,7 +11,12 @@ of them changed what an operator receives, so it must say so and
 refresh the pin on purpose.  The two OpenMetrics digests were refreshed
 when the supplicant RPC's fixed overhead moved inside its ``rpc`` span:
 each ``repro_rpc_*_cycles`` histogram's sum grew by 18,000 cycles per
-RPC and its bucket bounds moved with it; no other line changed.
+RPC and its bucket bounds moved with it; no other line changed.  The
+``doc`` and ``openmetrics`` digests of both rosters and the sampled
+roster's ``trace_jsonl`` were refreshed when energy came to be priced
+from the clock's per-domain totals: only energy floats moved, in their
+last digits (device and fleet ``energy_mj`` and ``battery_days``, span
+``energy_mj``, ``repro_fleet_e2e_energy_mj_sum``).
 """
 
 import hashlib
@@ -32,9 +37,9 @@ FLEET_PINS = [
         dict(devices=4, seed=7, utterances=4, sample_rate="auto",
              collect_traces=True),
         {
-            "doc": "19e3f5ae7decc48906788c686d1078704d98a45ff2069a180abb152ebd6bfb43",
-            "openmetrics": "048bf085f06e7cf09038d03aacf46da8bf28af36f79672a7c0f64ba1388c4b9f",
-            "trace_jsonl": "6c8ee84cee6507178bfa3f168bf3ddfa6a04adeae69aed3567b2ff2e47d9bc19",
+            "doc": "cd48cef09b9af4ba4e1a13c6269464a7b72a082829b930fff238d56bfea10097",
+            "openmetrics": "9119e5d984ac1e43e77dab06276141637cb4e63890fd42b51fb5fc591b529b31",
+            "trace_jsonl": "0477735b41950736f6a08ee26bdc42b37e77305905dd30f44c4ade5979728d6e",
             "chrome": "9feda59f3a00da7d39aa693f08ff4d1848bc1f10ea2a9ba7ad5130bb35595afe",
         },
     ),
@@ -42,8 +47,8 @@ FLEET_PINS = [
         dict(devices=6, seed=7, utterances=6, overload=True,
              client_crashes=True, shards=2),
         {
-            "doc": "bf8baf8a113ccb14264c4b1c18f693cf3f97edb77c1e2c6db5b97c90f1e51553",
-            "openmetrics": "7e676c3f4c6c20767215a6fbc66429e4c7347bf6af9af9d859f3bf6f79e921bc",
+            "doc": "dcfadef71722d91f48e4ae247a8e1d301dbad40adf78a78051925f92fc16d5d4",
+            "openmetrics": "292a752a5a8ffc2d8531ea03a5fde115cc6ae27e556998cd6799e42fed4dca5f",
             # No traces collected: the empty string's digest.
             "trace_jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "chrome": "e45dbff716b0cf2542fd742ba6a21435a10ee3bd6170bb38179a772b4d7b4821",

@@ -80,28 +80,6 @@ class TestSnapshot:
         assert snap.now == 0
 
 
-class TestListeners:
-    def test_listener_invoked(self):
-        clock = SimClock()
-        seen = []
-        clock.subscribe(lambda d, c: seen.append((d, c)))
-        clock.advance(42, CycleDomain.MONITOR)
-        assert seen == [(CycleDomain.MONITOR, 42)]
-
-    def test_unsubscribe(self):
-        clock = SimClock()
-        seen = []
-        listener = lambda d, c: seen.append(c)  # noqa: E731
-        clock.subscribe(listener)
-        clock.advance(1, CycleDomain.IDLE)
-        clock.unsubscribe(listener)
-        clock.advance(1, CycleDomain.IDLE)
-        assert seen == [1]
-
-    def test_unsubscribe_unknown_is_noop(self):
-        SimClock().unsubscribe(lambda d, c: None)
-
-
 @given(st.lists(st.integers(min_value=0, max_value=10_000), max_size=50))
 def test_property_time_is_monotonic_and_sums(charges):
     clock = SimClock()

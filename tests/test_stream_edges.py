@@ -166,10 +166,9 @@ class TestStreamEdges:
         platform, pipeline = stream_pipeline
         workload = make_workload(provisioned, MIXED)
         clock_before = platform.machine.clock.snapshot()
-        energy_before = platform.energy.snapshot()
         run = pipeline.process_continuous(workload)
         delta = platform.machine.clock.snapshot().delta(clock_before)
-        energy = platform.energy.delta_since(energy_before)
+        energy = platform.energy.of(delta)
 
         assert run.total_latency_cycles() == sum(delta.values())
         assert run.summary()["total_latency_cycles"] == sum(delta.values())
