@@ -171,19 +171,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         fleet_trace_jsonl,
         to_openmetrics,
     )
-    from repro.obs.fleet import resolve_sample_rate, run_fleet
+    from repro.obs.fleet import run_fleet
 
-    sample_rate: int | str = args.sample_rate
-    if sample_rate != "auto":
-        # Validate eagerly so a typo fails before the simulation runs.
-        sample_rate = resolve_sample_rate(sample_rate, "clean")
     collect_traces = bool(args.traces or args.trace_chrome)
     report = run_fleet(
         devices=args.devices, seed=args.seed, utterances=args.utterances,
         chaos=args.chaos, overload=args.overload,
-        client_crashes=args.client_crashes,
-        shards=args.shards, max_workers=args.max_workers,
-        sample_rate=sample_rate, collect_traces=collect_traces,
+        client_crashes=args.client_crashes, collect_traces=collect_traces,
     )
     print(report.table())
     if args.output:
@@ -250,13 +244,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
     dump = _DEFAULT_HEALTH_DUMP if args.dump is None else (
         pathlib.Path(args.dump) if args.dump else None
     )
-    report = monitor.evaluate(
-        dump_path=dump,
-        burn_window_hours=args.window_hours if args.burn_rate else None,
-        burn_factor=args.burn_factor,
-        trace_only=args.trace_only,
-        freq_hz=device.freq_hz,
-    )
+    report = monitor.evaluate(dump_path=dump, trace_only=args.trace_only)
     print(f"device {spec.device_id} (seed {spec.seed}, "
           f"{spec.fault_profile} network, "
           f"{spec.secure_fault_profile} secure faults, "
@@ -519,15 +507,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="base workload size per device (varies +0..2 across the fleet)",
     )
     fleet.add_argument(
-        "--shards", type=int, default=1,
-        help="co-simulate the roster across N worker processes; the "
-             "merged report is byte-identical to --shards 1",
-    )
-    fleet.add_argument(
-        "--max-workers", type=int, default=None,
-        help="cap concurrent shard workers (default: one per shard)",
-    )
-    fleet.add_argument(
         "--output", default="",
         help="write the fleet JSON document here (empty = print only)",
     )
@@ -553,13 +532,6 @@ def build_parser() -> argparse.ArgumentParser:
              "queue via CMD_RESUME (runs the TAs supervised)",
     )
     fleet.add_argument(
-        "--sample-rate", default="1",
-        help="telemetry sampling: keep 1-in-k latency/histogram samples "
-             "per device (weighted so merged quantiles stay unbiased); "
-             "an integer k, or 'auto' to pick k from each device's "
-             "network profile",
-    )
-    fleet.add_argument(
         "--traces", default="",
         help="write the fleet-wide correlated trace timeline (JSONL, one "
              "doc per span, trace ids thread device->relay->cloud) here; "
@@ -578,10 +550,9 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
         epilog=(
             "exit codes:\n"
-            "  0  every rule holds, no burn rate firing, nothing stalled\n"
-            "  1  SLO violation, firing burn rate, or watchdog stall\n"
-            "  2  NO DATA only: a rule's metric was never recorded, or a\n"
-            "     burn window had no usable snapshots"
+            "  0  every rule holds, nothing stalled\n"
+            "  1  SLO violation or watchdog stall\n"
+            "  2  NO DATA only: a rule's metric was never recorded"
         ),
     )
     health.add_argument("--seed", type=int, default=7)
@@ -612,22 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write the flight-recorder JSONL here on violation "
              "(default: benchmarks/results/health_flight.jsonl under the "
              "repo root; empty string to skip writing)",
-    )
-    health.add_argument(
-        "--burn-rate", action="store_true",
-        help="additionally evaluate multi-window error-budget burn rates "
-             "over the device's metric-snapshot ring (rules with an "
-             "hourly budget only)",
-    )
-    health.add_argument(
-        "--window-hours", type=float, default=1.0,
-        help="slow burn window in simulated hours (the fast window is "
-             "1/12th of it, SRE-style); only with --burn-rate",
-    )
-    health.add_argument(
-        "--burn-factor", type=float, default=1.0,
-        help="burn-rate threshold: fire when BOTH windows burn at >= "
-             "this multiple of the budget",
     )
     health.add_argument(
         "--trace-ids", action="store_true",

@@ -3,9 +3,7 @@
 The fleet tier needs metrics to leave the process: the OpenMetrics text
 format (``repro fleet --metrics-out``) feeds any Prometheus-compatible
 scraper or pushgateway, and the JSONL form writes one metric per line
-with full histogram bucket state — the off-box telemetry T15 measures.
-Neither is read back: shard workers hand their reports to the parent
-pickled.
+with full histogram bucket state.
 
 Metric names are sanitized to the Prometheus grammar (dots become
 underscores); :class:`~repro.obs.metrics.BucketHistogram` metrics export
@@ -82,7 +80,7 @@ def to_openmetrics(registry: MetricsRegistry) -> str:
 
 
 def to_jsonl(registry: MetricsRegistry) -> str:
-    """One JSON object per metric, then the snapshot ring if any.
+    """One JSON object per metric.
 
     Histograms carry their full bucket state (``BucketHistogram.to_doc``),
     not just point summaries, so a consumer can merge them.
@@ -101,12 +99,6 @@ def to_jsonl(registry: MetricsRegistry) -> str:
     for name, hist in registry.histograms().items():
         lines.append(json.dumps(
             {"kind": "histogram", "name": name, "state": hist.to_doc()},
-            sort_keys=True,
-        ))
-    snapshots = registry.snapshots
-    if snapshots:
-        lines.append(json.dumps(
-            {"kind": "snapshots", "ring": [s.to_doc() for s in snapshots]},
             sort_keys=True,
         ))
     return "\n".join(lines)

@@ -1,8 +1,6 @@
-"""Fleet simulation: N devices, sharded co-simulation, one merged picture.
+"""Fleet simulation: N devices, one merged picture.
 
-The paper's deployment target is "millions of users", so per-device
-observability (PR 2's span profile) has to aggregate: this module runs a
-simulated fleet — each device its own freshly seeded
+This module runs a simulated fleet — each device its own freshly seeded
 :class:`~repro.core.platform.IotPlatform` with a varied workload and
 network fault profile — and folds the per-device telemetry into a single
 :class:`FleetReport` via :meth:`BucketHistogram.merge` and
@@ -10,30 +8,25 @@ network fault profile — and folds the per-device telemetry into a single
 quantiles of the concatenated per-device streams within one bucket's
 relative error (exactly, while under the sample cap).
 
-At fleet scale the runner *shards*: :func:`run_fleet` partitions the
-roster into contiguous groups and co-simulates the groups across worker
-processes (``shards=N``).  Each worker reduces its devices to
-:class:`DeviceReport` *documents* — plain picklable telemetry, no machine
-or platform object graphs — which the parent reassembles in roster order
-and folds through the same merge machinery, so the sharded merged report
-is byte-identical to the sequential run for the same ``(seed, devices)``.
-Each device's :class:`MetricsRegistry` is the one record of its
-telemetry: the report's latency histogram is a view of the registry's
-``fleet.e2e_latency_cycles``, not a copy.  :func:`simulate_device_runtime`
-also hands back the device's live machine and platform, for in-process
-consumers like the health CLI; the fleet runner keeps only the report.
+Devices run one after another.  Each is reduced to a
+:class:`DeviceReport` *document* — plain picklable telemetry, no machine
+or platform object graphs — so the runner holds a report per device,
+never a simulation.  Each device's :class:`MetricsRegistry` is the one
+record of its telemetry: the report's latency histogram is a view of the
+registry's ``fleet.e2e_latency_cycles``, not a copy.
+:func:`simulate_device_runtime` also hands back the device's live
+machine and platform, for in-process consumers like the health CLI; the
+fleet runner keeps only the report.
 
 Everything stays inside the repo's determinism contract: device seeds
 derive from the fleet seed, fault sequences come from each device's
 :class:`~repro.sim.faults.FaultInjector` fork, and no wall-clock or
 global RNG is consulted — the same ``(seed, devices)`` pair always
-produces the same fleet report regardless of ``shards``.
+produces the same fleet report.
 """
 
 from __future__ import annotations
 
-import pickle
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import reduce
 from typing import Any
@@ -87,33 +80,6 @@ _SENSITIVE_MIX = (0.25, 0.5, 0.75)
 
 LATENCY_METRIC = "fleet.e2e_latency_cycles"
 ENERGY_METRIC = "fleet.e2e_energy_mj"
-
-#: ``--sample-rate auto``: per-profile telemetry sampling (1-in-k).
-#: Constrained-network devices burn energy and bandwidth on retries —
-#: that budget pressure is exactly when telemetry volume should drop, so
-#: lossy/congested profiles sample half as often.  All rates are powers
-#: of two so merged weights stay exact integers.
-AUTO_SAMPLE_RATES: dict[str, int] = {
-    "clean": 8,
-    "light": 8,
-    "lossy": 16,
-    "congested": 16,
-}
-
-
-def resolve_sample_rate(rate: int | str, fault_profile: str) -> int:
-    """The effective 1-in-k sampling rate for a device.
-
-    ``"auto"`` maps through :data:`AUTO_SAMPLE_RATES` by the device's
-    network fault profile; anything else must parse as an integer >= 1.
-    """
-    if rate == "auto":
-        return AUTO_SAMPLE_RATES[fault_profile]
-    out = int(rate)
-    if out < 1:
-        raise ValueError(f"sample rate must be >= 1, got {rate!r}")
-    return out
-
 
 @dataclass(frozen=True)
 class DeviceSpec:
@@ -183,39 +149,16 @@ def device_specs(
     ]
 
 
-def partition_specs(
-    specs: list[DeviceSpec], shards: int
-) -> list[list[DeviceSpec]]:
-    """Contiguous, balanced partition of the roster into shard groups.
-
-    Groups preserve roster order and their sizes differ by at most one,
-    so concatenating the groups reproduces the roster exactly — which is
-    what makes the sharded report byte-identical to the sequential one.
-    ``shards`` is clamped to ``1 .. len(specs)``.
-    """
-    if shards < 1:
-        raise ValueError(f"shards must be positive, got {shards}")
-    shards = min(shards, len(specs))
-    base, extra = divmod(len(specs), shards)
-    groups: list[list[DeviceSpec]] = []
-    start = 0
-    for s in range(shards):
-        n = base + (1 if s < extra else 0)
-        groups.append(specs[start : start + n])
-        start += n
-    return groups
-
-
 @dataclass
 class DeviceReport:
     """One device's run, reduced to mergeable, *picklable* telemetry.
 
-    A pure document: plain data plus the device's :class:`MetricsRegistry`
-    (process-portable), never the machine or platform object graphs — a
-    report must cross a shard worker's process boundary and must not pin
-    O(devices) simulation state in the parent.  Consumers that need the
-    live platform (the health CLI's alert routing) use the
-    :class:`DeviceRuntime` that :func:`simulate_device_runtime` returns.
+    A pure document: plain data plus the device's :class:`MetricsRegistry`,
+    never the machine or platform object graphs, so a fleet runner can
+    hold hundreds of reports without holding their simulations.
+    Consumers that need the live platform (the health CLI's alert
+    routing) use the :class:`DeviceRuntime` that
+    :func:`simulate_device_runtime` returns.
 
     ``clock_now``/``heartbeats``/``freq_hz`` carry the serializable
     inputs of the span watchdog and the cycle→wall-clock conversion, so
@@ -234,19 +177,15 @@ class DeviceReport:
     freq_hz: float = DEFAULT_FREQ_HZ
     clock_now: int = 0
     heartbeats: dict[str, int] = field(default_factory=dict)
-    # Telemetry reduction: 1-in-k sampling weight applied to the
-    # registry's histograms (1 = unsampled) and the trace-stamped span
-    # docs kept for the fleet timeline (empty unless the run collected
-    # traces).
-    sample_rate: int = 1
+    # The trace-stamped span docs kept for the fleet timeline (empty
+    # unless the run collected traces).
     trace_spans: list[dict[str, Any]] = field(default_factory=list)
 
     @property
     def latency_hist(self) -> BucketHistogram:
         """End-to-end utterance latencies, read from the registry.
 
-        The registry's ``fleet.e2e_latency_cycles`` (sampled 1-in-k with
-        weight k, like every registry histogram); a device that ran no
+        The registry's ``fleet.e2e_latency_cycles``; a device that ran no
         utterance has none and reads as an empty histogram of that name.
         """
         hist = self.registry.histograms().get(LATENCY_METRIC)
@@ -266,8 +205,8 @@ class DeviceReport:
         :func:`~repro.obs.health.check_heartbeats` over the device's span
         heartbeats as of its final cycle, computed from the report
         document alone — no live tracer or clock needed, so it works on
-        reports shipped back from shard workers.  A report without
-        heartbeats reports the ``(no spans)`` sentinel.
+        a deserialized report.  A report without heartbeats reports the
+        ``(no spans)`` sentinel.
         """
         return check_heartbeats(self.heartbeats, self.clock_now, stall_cycles)
 
@@ -302,7 +241,6 @@ class DeviceReport:
             "restarts": self.restarts,
             "degraded": self.summary["degraded"],
             "client_restarts": self.client_restarts,
-            "sample_rate": self.sample_rate,
         }
 
 
@@ -311,8 +249,7 @@ class DeviceRuntime:
     """A device report plus the live simulation objects behind it.
 
     For in-process consumers only (the health CLI routes alerts through
-    the platform's relay); never crosses a process boundary and never
-    appears in fleet documents.
+    the platform's relay); never appears in fleet documents.
     """
 
     report: DeviceReport
@@ -350,7 +287,6 @@ def simulate_device_runtime(
     spec: DeviceSpec,
     bundle,
     recorder=None,
-    sample_rate: int | str = 1,
     collect_traces: bool = False,
 ) -> DeviceRuntime:
     """Run one device's workload; the report plus the live machine.
@@ -362,13 +298,8 @@ def simulate_device_runtime(
     :class:`~repro.obs.health.FlightRecorder` before the run so a later
     SLO violation can dump the spans that led up to it.
 
-    ``sample_rate`` (an int or ``"auto"``, see :func:`resolve_sample_rate`)
-    reduces telemetry 1-in-k: the registry samples histogram observations
-    with weight ``k`` and the report keeps every k-th trace.
     ``collect_traces`` turns on deterministic trace-id stamping in the
     pipeline and retains the trace-stamped span docs on the report.
-    Neither knob touches decisions — they change what telemetry is
-    *kept*, never what the pipeline does.
     """
     from repro.core.pipeline import SecurePipeline
     from repro.core.platform import IotPlatform
@@ -377,7 +308,6 @@ def simulate_device_runtime(
     from repro.optee.supervise import SupervisorPolicy
     from repro.sim.rng import SimRng
 
-    sample_rate = resolve_sample_rate(sample_rate, spec.fault_profile)
     secure_faults = spec.secure_fault_config()
     crash_config = spec.client_crash_config()
     platform = IotPlatform.create(
@@ -388,9 +318,6 @@ def simulate_device_runtime(
     )
     if recorder is not None:
         platform.machine.obs.attach_recorder(recorder)
-    # Sampling must be live before the run so span-fed histograms sample
-    # at record time (systematic 1-in-k, weight k — see set_sampling).
-    platform.machine.obs.metrics.set_sampling(sample_rate)
     # Secure-world faults without supervision would just kill the run;
     # chaos devices therefore run supervised (checkpoint + restart).
     # Client-crash devices run supervised too: CMD_RESUME recovery is
@@ -444,13 +371,9 @@ def simulate_device_runtime(
         "fleet.world_switches", "fleet.client_restarts",
     ):
         metrics.inc(name, 0)
-    # Per-result recording on a synthetic device timeline (cumulative
-    # end-to-end cycles): each utterance advances the cursor and stamps
-    # one snapshot, which is the time series burn-rate SLOs window over.
-    # The totals are provably the old bulk totals — summary() counts
-    # exactly these predicates over the same results.
-    cursor = 0
-    for i, r in enumerate(run.results):
+    # Per-result recording: summary() counts exactly these predicates
+    # over the same results.
+    for r in run.results:
         metrics.observe(LATENCY_METRIC, r.latency_cycles)
         metrics.observe(ENERGY_METRIC, r.energy_mj)
         metrics.inc("fleet.utterances", 1)
@@ -464,15 +387,6 @@ def simulate_device_runtime(
             metrics.inc("fleet.relay.throttled", 1)
         elif r.relay_status == "shed":
             metrics.inc("fleet.relay.shed", 1)
-        cursor += r.latency_cycles
-        # The snapshot ring is shipped telemetry too, so its cadence
-        # follows the sampling rate: a 1-in-k device stamps every k-th
-        # utterance, plus the final one so the totals always land in the
-        # ring.  Counters are cumulative, so deltas stay exact — coarser
-        # cadence trades burn-rate detection latency for bytes (T15
-        # measures that trade), never correctness.
-        if (i + 1) % sample_rate == 0 or i + 1 == len(run.results):
-            metrics.record_snapshot(cursor)
     metrics.inc("fleet.relay.retries", relay.get("retries", 0))
     metrics.inc("fleet.relay.rehandshakes", relay.get("rehandshakes", 0))
     metrics.inc("fleet.world_switches", machine.cpu.switch_count)
@@ -484,19 +398,8 @@ def simulate_device_runtime(
 
     trace_spans: list[dict[str, Any]] = []
     if collect_traces:
-        # Keep every k-th *trace* (whole utterances, by first appearance)
-        # rather than every k-th span, so kept traces stay complete
-        # device→relay→queue stories under sampling.
-        order: dict[str, int] = {}
-        for sp in machine.obs.tracer.spans:
-            tid = sp.trace_id
-            if tid and tid not in order:
-                order[tid] = len(order)
-        keep = {tid for tid, i in order.items() if i % sample_rate == 0}
         trace_spans = [
-            sp.to_doc()
-            for sp in machine.obs.tracer.spans
-            if sp.trace_id in keep
+            sp.to_doc() for sp in machine.obs.tracer.spans if sp.trace_id
         ]
 
     restarts = (
@@ -515,7 +418,6 @@ def simulate_device_runtime(
         freq_hz=machine.clock.freq_hz,
         clock_now=machine.clock.now,
         heartbeats=span_heartbeats(machine.obs.tracer.spans),
-        sample_rate=sample_rate,
         trace_spans=trace_spans,
     )
     return DeviceRuntime(
@@ -524,38 +426,6 @@ def simulate_device_runtime(
         platform=platform,
         ta_uuid=pipeline.ta_uuid,
     )
-
-
-# -- shard workers ---------------------------------------------------------
-#
-# Workers are spawned (never forked): the parent ships the provisioned
-# bundle ONCE per worker through the pool initializer, and each task is
-# just (specs, sample_rate, collect_traces) — tiny picklables.  The module
-# global is re-created inside each worker process; it never leaks state
-# between runs because every pool gets its own initializer call.
-
-_WORKER_BUNDLE: Any = None
-
-
-def _init_shard_worker(bundle_blob: bytes) -> None:
-    """Pool initializer: unpack the shared filter bundle once per worker."""
-    global _WORKER_BUNDLE
-    _WORKER_BUNDLE = pickle.loads(bundle_blob)
-
-
-def _run_shard(
-    specs: list[DeviceSpec],
-    sample_rate: int | str = 1,
-    collect_traces: bool = False,
-) -> list[DeviceReport]:
-    """Simulate one contiguous roster slice; returns picklable reports."""
-    return [
-        simulate_device_runtime(
-            spec, _WORKER_BUNDLE,
-            sample_rate=sample_rate, collect_traces=collect_traces,
-        ).report
-        for spec in specs
-    ]
 
 
 @dataclass
@@ -641,8 +511,6 @@ class FleetReport:
             "devices": [d.to_doc() for d in self.devices],
             "fleet": {
                 "devices": len(self.devices),
-                # Summary counts: a sampled device's latency histogram
-                # keeps 1-in-k observations but it ran every utterance.
                 "utterances": sum(
                     d.summary["utterances"] for d in self.devices
                 ),
@@ -713,9 +581,6 @@ def run_fleet(
     chaos: bool = False,
     overload: bool = False,
     client_crashes: bool = False,
-    shards: int = 1,
-    max_workers: int | None = None,
-    sample_rate: int | str = 1,
     collect_traces: bool = False,
 ) -> FleetReport:
     """Simulate the fleet and return the merged report.
@@ -727,17 +592,8 @@ def run_fleet(
     device's cloud admission tier so throttling (and, at bounded queue
     depth, fail-closed shedding) actually happens; ``client_crashes=True``
     adds normal-world client crash/restart chaos recovered through the
-    TA's sealed state.  ``sample_rate`` (int or
-    ``"auto"``) and ``collect_traces`` are the telemetry-volume knobs —
-    see :func:`simulate_device_runtime`; neither affects decisions.
-
-    ``shards > 1`` co-simulates the roster across that many worker
-    processes (spawn-safe; at most ``max_workers`` concurrent, default
-    one per shard capped by the executor).  Devices are independent
-    simulations and shard groups are contiguous roster slices reassembled
-    in order, so the merged report is byte-identical to ``shards=1`` for
-    the same arguments — sharding is free parallelism, never a different
-    answer.
+    TA's sealed state.  ``collect_traces`` keeps each device's
+    trace-stamped spans (see :func:`simulate_device_runtime`).
     """
     if bundle is None:
         from repro.provision import provision_bundle
@@ -749,37 +605,10 @@ def run_fleet(
         overload=overload, client_crashes=client_crashes,
     )
     report = FleetReport(seed=seed)
-    if shards <= 1:
-        for spec in specs:
-            report.devices.append(
-                simulate_device_runtime(
-                    spec, bundle,
-                    sample_rate=sample_rate, collect_traces=collect_traces,
-                ).report
-            )
-        return report
-
-    import multiprocessing
-
-    groups = partition_specs(specs, shards)
-    # Ship the (largest) shared object exactly once per worker, not once
-    # per task: the initializer unpacks it into the worker's module
-    # global.  Spawn (not fork) so workers never inherit parent state the
-    # determinism contract doesn't account for.
-    blob = pickle.dumps(bundle, protocol=pickle.HIGHEST_PROTOCOL)
-    ctx = multiprocessing.get_context("spawn")
-    with ProcessPoolExecutor(
-        max_workers=max_workers or len(groups),
-        mp_context=ctx,
-        initializer=_init_shard_worker,
-        initargs=(blob,),
-    ) as pool:
-        futures = [
-            pool.submit(_run_shard, group, sample_rate, collect_traces)
-            for group in groups
-        ]
-        # Collect in submission order (== roster order), regardless of
-        # which shard finishes first.
-        for future in futures:
-            report.devices.extend(future.result())
+    for spec in specs:
+        report.devices.append(
+            simulate_device_runtime(
+                spec, bundle, collect_traces=collect_traces
+            ).report
+        )
     return report

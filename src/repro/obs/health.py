@@ -1,4 +1,4 @@
-"""SLO health evaluation, burn rates, span watchdog and flight recorder.
+"""SLO health evaluation, span watchdog and flight recorder.
 
 This is the alerting tier on top of the metrics registry: declarative
 :class:`SloRule` budgets (latency quantiles, relay success ratios, queue
@@ -8,15 +8,6 @@ heartbeats have gone quiet, and a bounded :class:`FlightRecorder` ring
 that preserves the last N spans so a firing rule dumps the run-up to the
 violation as JSONL — the in-simulator equivalent of a crash dump
 attached to a page.
-
-Beyond point-in-time rule checks, rules that declare an *error budget*
-(``budget_per_hour``) are evaluated as SRE-style multi-window burn rates
-(:func:`evaluate_burn_rates`): bad events are counted from snapshot-ring
-*deltas* — not lifetime totals — over a slow window and a 12×-faster
-window, and the budget only "burns" when both windows exceed the factor.
-Because the ring merges associatively (see
-:func:`repro.obs.metrics.merge_snapshot_rings`), the same evaluation on a
-merged sharded fleet report is byte-identical to the sequential run.
 
 Like the rest of ``repro.obs``, all of it is passive: rules read the
 registry, the watchdog reads span heartbeats and a cycle count, and the
@@ -32,20 +23,12 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
-from repro.obs.metrics import MetricsRegistry, RegistrySnapshot
-from repro.sim.clock import DEFAULT_FREQ_HZ
+from repro.obs.metrics import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.span import Span
 
 _OPS = ("<=", ">=")
-
-_SECONDS_PER_HOUR = 3600.0
-
-#: Fast-window divisor for multi-window burn alerts: the classic SRE
-#: pairing is a 1 h slow window with a 5 min fast window (12:1), so the
-#: fast window is always ``window_hours / 12``.
-FAST_WINDOW_DIVISOR = 12.0
 
 
 @dataclass(frozen=True)
@@ -68,13 +51,6 @@ class SloRule:
     vacuously (``gated=True``).  This is how conditional budgets avoid
     the no-data failure — e.g. ``recovery_time`` is only meaningful on
     runs where ``tee.restarts`` actually happened.
-
-    ``budget_per_hour`` opts the rule into burn-rate evaluation: it is
-    the number of *bad events* the rule tolerates per simulated hour
-    (observations past a quantile threshold, or failed events of a
-    ratio/counter rule).  Rules without a budget — and gauge rules,
-    whose values are not event streams — are skipped by
-    :func:`evaluate_burn_rates`.
     """
 
     name: str
@@ -85,17 +61,12 @@ class SloRule:
     denominator: str | None = None
     description: str = ""
     gate: str | None = None
-    budget_per_hour: float | None = None
 
     def __post_init__(self) -> None:
         if self.op not in _OPS:
             raise ValueError(f"op must be one of {_OPS}, got {self.op!r}")
         if self.quantile is not None and not 0.0 <= self.quantile <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {self.quantile}")
-        if self.budget_per_hour is not None and self.budget_per_hour <= 0:
-            raise ValueError(
-                f"budget_per_hour must be positive, got {self.budget_per_hour}"
-            )
 
     def measure(self, registry: MetricsRegistry) -> float | None:
         """The rule's current value under ``registry`` (None = no data)."""
@@ -185,7 +156,6 @@ def default_slo_rules(
             op="<=",
             threshold=latency_budget_cycles,
             description="p99 end-to-end utterance latency budget",
-            budget_per_hour=60.0,
         ),
         SloRule(
             name="relay_success",
@@ -194,7 +164,6 @@ def default_slo_rules(
             op=">=",
             threshold=relay_success_min,
             description="forwarded decisions delivered without queueing",
-            budget_per_hour=60.0,
         ),
         SloRule(
             name="queue_depth",
@@ -236,7 +205,6 @@ def default_slo_rules(
             threshold=shed_rate_max,
             gate="fleet.relay.shed",
             description="fail-closed queue sheds per forwarded decision",
-            budget_per_hour=60.0,
         ),
         # Histogram-backed admission decision latency at the cloud's
         # multi-tenant ingestion tier; gated so runs that forwarded
@@ -251,173 +219,6 @@ def default_slo_rules(
             description="p99 cloud admission decision latency budget",
         ),
     ]
-
-
-@dataclass(frozen=True)
-class BurnRateEvaluation:
-    """One budgeted rule's multi-window burn verdict.
-
-    ``burn_slow``/``burn_fast`` are the observed bad-event rate divided
-    by the budgeted rate over the slow window and the 12×-faster window;
-    a burn of 1.0 means the budget is being consumed exactly as fast as
-    it refills.  ``firing`` requires *both* windows past the factor —
-    the fast window confirms the problem is still happening, the slow
-    window that it is material.  ``no_data`` means the snapshot ring had
-    no usable window for the rule's metric (too few snapshots, or the
-    metric never appeared).
-    """
-
-    rule: SloRule
-    window_hours: float
-    fast_window_hours: float
-    bad_slow: int = 0
-    bad_fast: int = 0
-    burn_slow: float = 0.0
-    burn_fast: float = 0.0
-    firing: bool = False
-    no_data: bool = False
-
-    def to_doc(self) -> dict[str, Any]:
-        """JSON-ready row for health reports."""
-        return {
-            "rule": self.rule.name,
-            "metric": self.rule.metric,
-            "budget_per_hour": self.rule.budget_per_hour,
-            "window_hours": self.window_hours,
-            "fast_window_hours": self.fast_window_hours,
-            "bad_slow": self.bad_slow,
-            "bad_fast": self.bad_fast,
-            "burn_slow": self.burn_slow,
-            "burn_fast": self.burn_fast,
-            "firing": self.firing,
-            "no_data": self.no_data,
-        }
-
-
-def _bad_events(rule: SloRule, delta: RegistrySnapshot) -> int | None:
-    """Bad events for ``rule`` inside a snapshot delta (None = no data).
-
-    Quantile rules count observations in wholly-violating histogram
-    buckets — bucket ``idx`` spans ``(gamma**(idx-1), gamma**idx]``, so
-    under ``<=`` a bucket is bad iff its lower bound already exceeds the
-    threshold (a conservative, merge-stable count).  Ratio rules count
-    failed events from the counter deltas; plain counters count their
-    own increments.  Gauge rules have no event stream and return None.
-    """
-    if rule.quantile is not None:
-        state = delta.hists.get(rule.metric)
-        if state is None:
-            return None
-        gamma = state["gamma"]
-        bad = 0
-        if rule.op == "<=":
-            for idx, n in state["buckets"].items():
-                if gamma ** (idx - 1) >= rule.threshold:
-                    bad += n
-        else:
-            if rule.threshold > 0.0:
-                bad += state["zero"]
-            for idx, n in state["buckets"].items():
-                if gamma ** idx < rule.threshold:
-                    bad += n
-        return bad
-    if rule.denominator is not None:
-        num = delta.counters.get(rule.metric)
-        den = delta.counters.get(rule.denominator)
-        if num is None and den is None:
-            return None
-        num = num or 0
-        den = den or 0
-        return max(den - num, 0) if rule.op == ">=" else num
-    if rule.metric in delta.counters:
-        return delta.counters[rule.metric] if rule.op == "<=" else None
-    return None
-
-
-def _window_start(
-    snaps: list[RegistrySnapshot], horizon_cycle: int
-) -> RegistrySnapshot:
-    """Newest snapshot at/before ``horizon_cycle`` (oldest when none).
-
-    Clamping to the oldest snapshot means short runs evaluate over the
-    history they actually have instead of reporting NO DATA — the window
-    is "up to W hours", never more.
-    """
-    start = snaps[0]
-    for s in snaps:
-        if s.cycle <= horizon_cycle:
-            start = s
-        else:
-            break
-    return start
-
-
-def evaluate_burn_rates(
-    registry: MetricsRegistry,
-    rules: list[SloRule] | None = None,
-    window_hours: float = 1.0,
-    freq_hz: float = DEFAULT_FREQ_HZ,
-    factor: float = 1.0,
-) -> list[BurnRateEvaluation]:
-    """Multi-window burn rates for every budgeted rule.
-
-    For each rule with ``budget_per_hour`` set, bad events are counted
-    over two windows of the registry's snapshot ring — ``window_hours``
-    and ``window_hours / 12`` (the SRE 1 h / 5 min pairing) — and the
-    rule fires when *both* windows burn past ``factor``.  Windows clamp
-    to recorded history; elapsed time comes from the snapshots' actual
-    cycle stamps, so the math is exact on any ring, including a merged
-    sharded fleet ring (where it is byte-identical to the sequential
-    run's).
-    """
-    if window_hours <= 0:
-        raise ValueError(f"window_hours must be positive, got {window_hours}")
-    if freq_hz <= 0:
-        raise ValueError(f"freq_hz must be positive, got {freq_hz}")
-    if rules is None:
-        rules = default_slo_rules()
-    budgeted = [r for r in rules if r.budget_per_hour is not None]
-    snaps = registry.snapshots
-    out: list[BurnRateEvaluation] = []
-    fast_hours = window_hours / FAST_WINDOW_DIVISOR
-    for rule in budgeted:
-        windows: list[tuple[int, float] | None] = []
-        for hours in (window_hours, fast_hours):
-            result: tuple[int, float] | None = None
-            if len(snaps) >= 2:
-                end = snaps[-1]
-                horizon = end.cycle - int(
-                    hours * _SECONDS_PER_HOUR * freq_hz
-                )
-                start = _window_start(snaps, horizon)
-                elapsed = end.cycle - start.cycle
-                if elapsed > 0:
-                    bad = _bad_events(rule, end.delta(start))
-                    if bad is not None:
-                        elapsed_hours = elapsed / (
-                            _SECONDS_PER_HOUR * freq_hz
-                        )
-                        burn = (bad / elapsed_hours) / rule.budget_per_hour
-                        result = (bad, burn)
-            windows.append(result)
-        slow, fast = windows
-        if slow is None or fast is None:
-            out.append(BurnRateEvaluation(
-                rule=rule, window_hours=window_hours,
-                fast_window_hours=fast_hours, no_data=True,
-            ))
-            continue
-        out.append(BurnRateEvaluation(
-            rule=rule,
-            window_hours=window_hours,
-            fast_window_hours=fast_hours,
-            bad_slow=slow[0],
-            bad_fast=fast[0],
-            burn_slow=slow[1],
-            burn_fast=fast[1],
-            firing=slow[1] >= factor and fast[1] >= factor,
-        ))
-    return out
 
 
 @dataclass(frozen=True)
@@ -446,8 +247,7 @@ def span_heartbeats(spans) -> dict[str, int]:
     they beat nothing: a one-off boot event must not open a track the
     watchdog would later report as stalled.  This is the serializable
     essence of the watchdog's input: a fleet device report carries it
-    across process boundaries so the watchdog can run without the live
-    tracer.
+    so the watchdog can run without the live tracer.
     """
     last_end: dict[str, int] = {}
     for sp in spans:
@@ -547,12 +347,11 @@ class FlightRecorder:
 
 @dataclass
 class HealthReport:
-    """Every rule's verdict plus burn rates, watchdog alerts and the dump."""
+    """Every rule's verdict plus watchdog alerts and the dump."""
 
     evaluations: list[SloEvaluation] = field(default_factory=list)
     stalled: list[WatchdogAlert] = field(default_factory=list)
     flight_dump: str | None = None
-    burn_rates: list[BurnRateEvaluation] = field(default_factory=list)
     offending_trace: str = ""
 
     @property
@@ -562,33 +361,21 @@ class HealthReport:
 
     @property
     def ok(self) -> bool:
-        """True when every rule holds, no budget burns, nothing stalled."""
-        return (
-            not self.violations
-            and not self.stalled
-            and not any(b.firing for b in self.burn_rates)
-        )
+        """True when every rule holds and nothing stalled."""
+        return not self.violations and not self.stalled
 
     @property
     def exit_code(self) -> int:
         """The ``repro health`` process contract.
 
-        ``1`` for a real problem — a measured rule violation, a firing
-        burn rate, or a watchdog stall; ``2`` when the only failures are
-        NO DATA (missing metrics, or burn windows with no usable
-        snapshots); ``0`` when everything holds.
+        ``1`` for a real problem — a measured rule violation or a
+        watchdog stall; ``2`` when the only failures are NO DATA (a
+        rule's metric was never recorded); ``0`` when everything holds.
         """
         real_violations = [e for e in self.violations if not e.missing]
-        if (
-            real_violations
-            or self.stalled
-            or any(b.firing for b in self.burn_rates)
-        ):
+        if real_violations or self.stalled:
             return 1
-        if (
-            any(e.missing for e in self.evaluations)
-            or any(b.no_data for b in self.burn_rates)
-        ):
+        if any(e.missing for e in self.evaluations):
             return 2
         return 0
 
@@ -598,7 +385,6 @@ class HealthReport:
             "ok": self.ok,
             "exit_code": self.exit_code,
             "rules": [e.to_doc() for e in self.evaluations],
-            "burn_rates": [b.to_doc() for b in self.burn_rates],
             "stalled": [a.to_doc() for a in self.stalled],
             "offending_trace": self.offending_trace,
             "flight_recorder_spans": (
@@ -620,15 +406,6 @@ class HealthReport:
                 f"{e.rule.name:16s} {e.value:>14.3g} "
                 f"{e.rule.op + ' ' + format(e.rule.threshold, '.3g'):>14s} "
                 f"{status:>8s}"
-            )
-        for b in self.burn_rates:
-            if b.no_data:
-                status = "NO DATA"
-            else:
-                status = "BURNING" if b.firing else "ok"
-            lines.append(
-                f"{'burn:' + b.rule.name:16s} {b.burn_slow:>14.3g} "
-                f"{b.burn_fast:>14.3g} {status:>8s}"
             )
         for alert in self.stalled:
             lines.append(
@@ -663,37 +440,18 @@ class HealthMonitor:
         self.watchdog = watchdog
 
     def evaluate(
-        self,
-        dump_path=None,
-        burn_window_hours: float | None = None,
-        burn_factor: float = 1.0,
-        trace_only: bool = False,
-        freq_hz: float = DEFAULT_FREQ_HZ,
+        self, dump_path=None, trace_only: bool = False
     ) -> HealthReport:
         """Judge every rule; dump the flight recorder if anything fired.
 
         ``dump_path`` (a path-like) additionally writes the dump to disk,
         creating parent directories — the alerting hook a deployment
-        would replace with its pager.
-
-        ``burn_window_hours`` additionally evaluates multi-window burn
-        rates over the registry's snapshot ring (see
-        :func:`evaluate_burn_rates`); a firing burn fails the report the
-        same way a violated rule does.  ``trace_only`` narrows the
-        flight dump to the offending trace's spans when one can be
-        identified.
+        would replace with its pager.  ``trace_only`` narrows the flight
+        dump to the offending trace's spans when one can be identified.
         """
         report = HealthReport(
             evaluations=[rule.evaluate(self.registry) for rule in self.rules]
         )
-        if burn_window_hours is not None:
-            report.burn_rates = evaluate_burn_rates(
-                self.registry,
-                self.rules,
-                window_hours=burn_window_hours,
-                freq_hz=freq_hz,
-                factor=burn_factor,
-            )
         if self.watchdog is not None:
             report.stalled = self.watchdog()
         if not report.ok and self.recorder is not None:

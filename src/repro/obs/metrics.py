@@ -14,27 +14,6 @@ bucket estimates for unbounded streams, and — the point — **merge**
 across devices without bias.  Registry histograms are bucketed so whole
 registries can be merged into fleet aggregates; the per-stage profiler
 uses the same type, exact because stage counts are small.
-
-Two fleet-scale additions ride on the bucket machinery:
-
-* **Weighted observations / adaptive sampling** — ``observe(v, weight=k)``
-  records one retained sample standing for ``k`` identical stream values
-  (bucket counts, count and total all advance by ``k``).  A registry put
-  into 1-in-``k`` sampling mode (:meth:`MetricsRegistry.set_sampling`)
-  records every ``k``-th histogram observation with weight ``k``, so a
-  sampled device ships ~``1/k`` of the telemetry while merged fleet
-  rates stay unbiased and merged quantiles stay within one bucket of the
-  unsampled stream (systematic sampling; weights ride the ordinary
-  bucket counts, so ``merge``/``to_doc`` need no special cases).
-* **Snapshot ring** — :meth:`MetricsRegistry.record_snapshot` appends a
-  compact cumulative :class:`RegistrySnapshot` of the ``fleet.*``
-  metrics (counters + histogram bucket state, no raw samples) at a
-  simulated cycle, giving the health tier a *windowed* time series:
-  burn-rate SLOs compute from snapshot deltas rather than lifetime
-  totals.  Rings merge index-aligned (associative and commutative, like
-  the histograms), so a merged fleet registry carries a fleet-wide
-  snapshot timeline that is byte-identical whether devices were folded
-  sequentially or across shards.
 """
 
 from __future__ import annotations
@@ -44,9 +23,6 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Any
-
-# The namespace MetricsRegistry.record_snapshot captures.
-_SNAPSHOT_PREFIX = "fleet."
 
 
 @dataclass
@@ -128,39 +104,24 @@ class BucketHistogram:
             i -= 1
         return i
 
-    def observe(self, value: float, weight: int = 1) -> None:
-        """Record one sample (non-negative), optionally weighted.
-
-        ``weight=k`` records this value as standing for ``k`` identical
-        stream observations — the adaptive-sampling contract: a device
-        sampling 1-in-``k`` observes every kept value with weight ``k``,
-        so counts, totals and bucket populations (and therefore merged
-        fleet rates and bucket quantiles) stay unbiased.  Weighted
-        observations drop the retained raw samples (``exact`` becomes
-        false): a weight is a bucket-resolution statement, not ``k``
-        recoverable values.
-        """
+    def observe(self, value: float) -> None:
+        """Record one sample (must be non-negative)."""
         value = float(value)
         if value < 0:
             raise ValueError(
                 f"histogram {self.name!r} cannot observe negative {value}"
             )
-        weight = int(weight)
-        if weight < 1:
-            raise ValueError(
-                f"histogram {self.name!r} weight must be >= 1, got {weight}"
-            )
-        self.count += weight
-        self.total += value * weight
+        self.count += 1
+        self.total += value
         self.min = value if self.min is None else min(self.min, value)
         self.max = value if self.max is None else max(self.max, value)
         if value == 0.0:
-            self._zero += weight
+            self._zero += 1
         else:
             idx = self._bucket_index(value)
-            self._buckets[idx] = self._buckets.get(idx, 0) + weight
+            self._buckets[idx] = self._buckets.get(idx, 0) + 1
         if self._samples is not None:
-            if weight == 1 and self.count <= self.max_samples:
+            if self.count <= self.max_samples:
                 bisect.insort(self._samples, value)
             else:
                 self._samples = None
@@ -276,130 +237,6 @@ class BucketHistogram:
         }
 
 
-@dataclass(frozen=True)
-class RegistrySnapshot:
-    """Cumulative registry state at one simulated cycle (picklable).
-
-    The unit of the windowed time series behind burn-rate SLOs: counters
-    are carried verbatim and histograms as bucket state only
-    (``{"gamma", "count", "zero", "buckets"}`` — no retained samples, so
-    a snapshot is a few hundred bytes regardless of stream length).  Two
-    snapshots subtract (:meth:`delta`) into the events of the window
-    between them, and snapshots at the same ring index add
-    (:meth:`merge`) into the fleet-wide snapshot for that epoch.
-    """
-
-    cycle: int
-    counters: dict[str, int]
-    hists: dict[str, dict[str, Any]]
-
-    def merge(self, other: "RegistrySnapshot") -> "RegistrySnapshot":
-        """Pointwise sum (counters and bucket counts add, cycle = max)."""
-        counters = dict(self.counters)
-        for name, v in other.counters.items():
-            counters[name] = counters.get(name, 0) + v
-        hists = {n: _copy_hist_state(s) for n, s in self.hists.items()}
-        for name, state in other.hists.items():
-            mine = hists.get(name)
-            if mine is None:
-                hists[name] = _copy_hist_state(state)
-                continue
-            if not math.isclose(mine["gamma"], state["gamma"]):
-                raise ValueError(
-                    f"snapshot merge: gamma mismatch on {name!r}"
-                )
-            mine["count"] += state["count"]
-            mine["zero"] += state["zero"]
-            for idx, n in state["buckets"].items():
-                mine["buckets"][idx] = mine["buckets"].get(idx, 0) + n
-        return RegistrySnapshot(
-            cycle=max(self.cycle, other.cycle), counters=counters, hists=hists
-        )
-
-    def delta(self, earlier: "RegistrySnapshot") -> "RegistrySnapshot":
-        """Events between ``earlier`` and this snapshot (both cumulative).
-
-        Counter and bucket values subtract (clamped at zero so a metric
-        that first appears mid-ring never goes negative); ``cycle`` is
-        the window length in cycles.
-        """
-        counters = {
-            name: max(0, v - earlier.counters.get(name, 0))
-            for name, v in self.counters.items()
-        }
-        hists: dict[str, dict[str, Any]] = {}
-        for name, state in self.hists.items():
-            prev = earlier.hists.get(
-                name, {"gamma": state["gamma"], "count": 0, "zero": 0,
-                       "buckets": {}},
-            )
-            hists[name] = {
-                "gamma": state["gamma"],
-                "count": max(0, state["count"] - prev["count"]),
-                "zero": max(0, state["zero"] - prev["zero"]),
-                "buckets": {
-                    idx: n - prev["buckets"].get(idx, 0)
-                    for idx, n in state["buckets"].items()
-                    if n - prev["buckets"].get(idx, 0) > 0
-                },
-            }
-        return RegistrySnapshot(
-            cycle=self.cycle - earlier.cycle, counters=counters, hists=hists
-        )
-
-    def to_doc(self) -> dict[str, Any]:
-        """JSON-ready form."""
-        return {
-            "cycle": self.cycle,
-            "counters": dict(sorted(self.counters.items())),
-            "hists": {
-                name: {
-                    "gamma": state["gamma"],
-                    "count": state["count"],
-                    "zero": state["zero"],
-                    "buckets": {
-                        str(i): n for i, n in sorted(state["buckets"].items())
-                    },
-                }
-                for name, state in sorted(self.hists.items())
-            },
-        }
-
-
-def _copy_hist_state(state: dict[str, Any]) -> dict[str, Any]:
-    return {
-        "gamma": state["gamma"],
-        "count": state["count"],
-        "zero": state["zero"],
-        "buckets": dict(state["buckets"]),
-    }
-
-
-def merge_snapshot_rings(
-    a: list[RegistrySnapshot], b: list[RegistrySnapshot]
-) -> list[RegistrySnapshot]:
-    """Index-aligned merge of two snapshot rings.
-
-    Ring index ``i`` is the *i*-th recording epoch of a device (the fleet
-    runner snapshots once per utterance, so index == utterance epoch).
-    The shorter ring is extended by repeating its final snapshot — a
-    cumulative series holds its last value after the device stops — which
-    makes the merge associative and commutative: every ring is treated as
-    an infinite step series and summed pointwise, so fold order (and
-    therefore sharding) cannot change the merged timeline.
-    """
-    if not a:
-        return list(b)
-    if not b:
-        return list(a)
-    out: list[RegistrySnapshot] = []
-    for i in range(max(len(a), len(b))):
-        sa = a[i] if i < len(a) else a[-1]
-        sb = b[i] if i < len(b) else b[-1]
-        out.append(sa.merge(sb))
-    return out
-
-
 class MetricsRegistry:
     """Named metrics, lazily created on first use.
 
@@ -409,20 +246,11 @@ class MetricsRegistry:
     (``tz.*``, ``optee.*``, ``stage.secure.*`` ...).
     """
 
-    def __init__(self, snapshot_capacity: int = 512) -> None:
-        if snapshot_capacity < 1:
-            raise ValueError("snapshot_capacity must be positive")
+    def __init__(self) -> None:
         self.enabled = True
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, BucketHistogram] = {}
-        # Adaptive telemetry sampling (1-in-k histogram observations,
-        # weight-compensated); counters/gauges are never sampled.
-        self.sample_every = 1
-        self._sample_seen: dict[str, int] = {}
-        # Windowed time series for burn-rate SLOs.
-        self.snapshot_capacity = snapshot_capacity
-        self._snapshots: list[RegistrySnapshot] = []
         # Counters kept by another record (see derive_counters).
         self._derive: Callable[[], dict[str, int]] | None = None
 
@@ -486,80 +314,9 @@ class MetricsRegistry:
             self.gauge(name).set(value)
 
     def observe(self, name: str, value: float) -> None:
-        """Record a histogram sample (no-op while disabled).
-
-        Under 1-in-``k`` sampling (:meth:`set_sampling`), every ``k``-th
-        observation of each metric is recorded with weight ``k`` and the
-        rest are dropped — systematic per-metric sampling, so the kept
-        subset is deterministic and the weighted counts remain unbiased
-        estimates of the full stream.
-        """
-        if not self.enabled:
-            return
-        k = self.sample_every
-        if k <= 1:
+        """Record a histogram sample (no-op while disabled)."""
+        if self.enabled:
             self.histogram(name).observe(value)
-            return
-        seen = self._sample_seen.get(name, 0)
-        self._sample_seen[name] = seen + 1
-        if seen % k == 0:
-            self.histogram(name).observe(value, weight=k)
-
-    def set_sampling(self, every: int) -> None:
-        """Sample 1-in-``every`` histogram observations (1 = off).
-
-        Recording (not measurement) policy: the pipeline's behaviour is
-        untouched, only how much telemetry the registry retains.  The
-        sampling weight rides the bucket counts, so merged fleet rates
-        stay unbiased and quantiles stay within one bucket of the
-        unsampled stream.
-        """
-        every = int(every)
-        if every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {every}")
-        self.sample_every = every
-
-    # -- windowed snapshots (burn-rate time series) ------------------------------
-
-    def record_snapshot(self, cycle: int) -> None:
-        """Append the cumulative ``fleet.*`` state at ``cycle`` to the ring.
-
-        Only ``fleet.*`` metrics are captured: the fleet runner replays
-        them utterance by utterance as it stamps the ring, so each
-        snapshot holds their state at that point of the run.  Metrics
-        recorded live during the run (``tee.*``, ``cloud.*``) are already
-        final by then and would only add entries whose window deltas are
-        zero.  Histograms are captured as bucket state without retained
-        samples.  The ring is bounded by ``snapshot_capacity`` (oldest
-        dropped); no-op while the registry is disabled.
-        """
-        if not self.enabled:
-            return
-        counters = {
-            name: c.value
-            for name, c in sorted(self._counters.items())
-            if name.startswith(_SNAPSHOT_PREFIX)
-        }
-        hists = {
-            name: {
-                "gamma": h.gamma,
-                "count": h.count,
-                "zero": h._zero,
-                "buckets": dict(h._buckets),
-            }
-            for name, h in sorted(self._histograms.items())
-            if name.startswith(_SNAPSHOT_PREFIX)
-        }
-        self._snapshots.append(
-            RegistrySnapshot(cycle=int(cycle), counters=counters, hists=hists)
-        )
-        if len(self._snapshots) > self.snapshot_capacity:
-            del self._snapshots[: len(self._snapshots) - self.snapshot_capacity]
-
-    @property
-    def snapshots(self) -> list[RegistrySnapshot]:
-        """The snapshot ring, oldest first (copy)."""
-        return list(self._snapshots)
 
     # -- reading back -----------------------------------------------------------
 
@@ -610,16 +367,12 @@ class MetricsRegistry:
                     name, gamma=h.gamma, max_samples=h.max_samples
                 )
             self._histograms[name] = mine.merge(h)
-        self._snapshots = merge_snapshot_rings(
-            self._snapshots, other._snapshots
-        )
 
     def to_doc(self) -> dict[str, Any]:
-        """Full-fidelity JSON state of every metric and the snapshot ring.
+        """Full-fidelity JSON state of every metric.
 
         Histograms keep their buckets and retained samples, so two
-        registries with equal documents merge identically.  Shard workers
-        do not use it: they pickle their reports, registries included.
+        registries with equal documents merge identically.
         """
         return {
             "counters": self.counters(),
@@ -627,5 +380,4 @@ class MetricsRegistry:
             "histograms": {
                 n: h.to_doc() for n, h in sorted(self._histograms.items())
             },
-            "snapshots": [s.to_doc() for s in self._snapshots],
         }

@@ -39,8 +39,8 @@ def build_alert_doc(
     """The JSON alert document for one health report.
 
     When the report identified an offending trace, the alert carries its
-    id (plus any burn-rate rows) so the receiver can correlate the alert
-    with the device-side spans of the utterance that tripped the SLO.
+    id so the receiver can correlate the alert with the device-side spans
+    of the utterance that tripped the SLO.
     """
     doc = {
         "kind": "health_alert",
@@ -50,8 +50,6 @@ def build_alert_doc(
         "stalled": [a.to_doc() for a in report.stalled],
         "flight_recorder": report.flight_dump or "",
     }
-    if report.burn_rates:
-        doc["burn_rates"] = [b.to_doc() for b in report.burn_rates]
     if report.offending_trace:
         doc["trace_id"] = report.offending_trace
     return doc

@@ -1,8 +1,6 @@
 """Unit tests: cloud service recording + leak auditor."""
 
 import json
-import multiprocessing
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -65,14 +63,6 @@ class TestFleetIdentity:
             for seed in (1, 2, 1000, 2000)
         }
         assert keys == {avs_identity().public_bytes()}
-
-    def test_spawn_workers_derive_the_same_key(self):
-        """The spawn workers ``run_fleet(shards=2)`` runs devices in derive
-        the key afresh, and it is the parent's."""
-        ctx = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
-            keys = [f.result() for f in [pool.submit(avs_identity) for _ in range(2)]]
-        assert keys == [avs_identity(), avs_identity()]
 
     def test_pinned_device_rejects_another_key(self):
         pinned = IotPlatform.create(seed=3).cloud.tls.static_public

@@ -104,18 +104,6 @@ class TestMergedRegistryExposition:
         assert counts == sorted(counts)
         assert counts[-1] == 9
 
-    def test_weighted_histograms_expose_weighted_counts(self):
-        a = MetricsRegistry()
-        a.set_sampling(4)
-        for v in range(8):
-            a.observe("fleet.lat", float(v + 1))
-        b = MetricsRegistry()
-        b.observe("fleet.lat", 3.0)
-        a.merge(b)
-        text = to_openmetrics(a)
-        # 2 kept samples at weight 4, plus one unsampled observation.
-        assert "repro_fleet_lat_count 9" in text
-
     def test_merged_registry_round_trips_through_jsonl(self):
         reg = self._merged()
         docs = parse_jsonl(to_jsonl(reg))
@@ -123,19 +111,3 @@ class TestMergedRegistryExposition:
         merged = reg.histogram("stage.secure.asr.cycles")
         assert state == merged.to_doc()
         assert state["count"] == 9
-
-
-class TestSnapshotRingJsonl:
-    def test_ring_survives_round_trip(self):
-        reg = populated()
-        reg.inc("fleet.utterances", 2)
-        reg.record_snapshot(500)
-        reg.inc("fleet.utterances", 1)
-        reg.record_snapshot(900)
-        ring = parse_jsonl(to_jsonl(reg))[("snapshots", "")]["ring"]
-        assert ring == [s.to_doc() for s in reg.snapshots]
-        assert [s["counters"]["fleet.utterances"] for s in ring] == [2, 3]
-
-    def test_empty_ring_adds_no_line(self):
-        text = to_jsonl(populated())
-        assert '"snapshots"' not in text

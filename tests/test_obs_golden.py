@@ -2,18 +2,17 @@
 
 Each fleet pin is the sha256 of one ``repro fleet`` artifact — the JSON
 report, the merged OpenMetrics text, the correlated trace JSONL and the
-Chrome trace — for two rosters that between them cover sampling, trace
-collection, cloud overload, client crashes and a sharded merge.  The
-health pin is the literal stdout of a chaos ``repro health`` run whose
-seed injects a real TA restart.  The values were recorded from an
-earlier implementation of the telemetry layer; a change that moves one
-of them changed what an operator receives, so it must say so and
-refresh the pin on purpose.  The two OpenMetrics digests were refreshed
-when the supplicant RPC's fixed overhead moved inside its ``rpc`` span:
-each ``repro_rpc_*_cycles`` histogram's sum grew by 18,000 cycles per
-RPC and its bucket bounds moved with it; no other line changed.  The
-``doc`` and ``openmetrics`` digests of both rosters and the sampled
-roster's ``trace_jsonl`` were refreshed when energy came to be priced
+Chrome trace — for two rosters that between them cover trace
+collection, cloud overload and client crashes.  The health pin is the
+literal stdout of a chaos ``repro health`` run whose seed injects a real
+TA restart.  The values were recorded from an earlier implementation of
+the telemetry layer; a change that moves one of them changed what an
+operator receives, so it must say so and refresh the pin on purpose.
+The two OpenMetrics digests were refreshed when the supplicant RPC's
+fixed overhead moved inside its ``rpc`` span: each
+``repro_rpc_*_cycles`` histogram's sum grew by 18,000 cycles per RPC and
+its bucket bounds moved with it; no other line changed.  The ``doc`` and
+``openmetrics`` digests were refreshed when energy came to be priced
 from the clock's per-domain totals: only energy floats moved, in their
 last digits (device and fleet ``energy_mj`` and ``battery_days``, span
 ``energy_mj``, ``repro_fleet_e2e_energy_mj_sum``).
@@ -34,20 +33,19 @@ from repro.obs.fleet import run_fleet
 
 FLEET_PINS = [
     (
-        dict(devices=4, seed=7, utterances=4, sample_rate="auto",
-             collect_traces=True),
+        dict(devices=4, seed=7, utterances=4, collect_traces=True),
         {
-            "doc": "cd48cef09b9af4ba4e1a13c6269464a7b72a082829b930fff238d56bfea10097",
-            "openmetrics": "9119e5d984ac1e43e77dab06276141637cb4e63890fd42b51fb5fc591b529b31",
-            "trace_jsonl": "0477735b41950736f6a08ee26bdc42b37e77305905dd30f44c4ade5979728d6e",
-            "chrome": "9feda59f3a00da7d39aa693f08ff4d1848bc1f10ea2a9ba7ad5130bb35595afe",
+            "doc": "9dc17970de845f0ae0e16575b159fda7485468e7963dabd0a6ea3bc8753ed643",
+            "openmetrics": "2acd0601713b37847f27091b2e297ffaa7e6f4fd45bd38f2df4e9639586d4837",
+            "trace_jsonl": "d0ebdd09aa9abf54cfb5fb1161332bf9274bf7e16cad0d0720588b7b1c24d97c",
+            "chrome": "d9f92353a461677233b2aa76cd1d67525e272eb1df565d4f093f511ebfbb2359",
         },
     ),
     (
         dict(devices=6, seed=7, utterances=6, overload=True,
-             client_crashes=True, shards=2),
+             client_crashes=True),
         {
-            "doc": "dcfadef71722d91f48e4ae247a8e1d301dbad40adf78a78051925f92fc16d5d4",
+            "doc": "7819950c1389f8412b7442132f207739f6a96adae9f4af571b7d94174ee52eb3",
             "openmetrics": "292a752a5a8ffc2d8531ea03a5fde115cc6ae27e556998cd6799e42fed4dca5f",
             # No traces collected: the empty string's digest.
             "trace_jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
@@ -74,7 +72,7 @@ def _sha256(text: str) -> str:
 
 
 @pytest.mark.parametrize(
-    "kwargs, pins", FLEET_PINS, ids=["sampled-traced", "overload-crash-sharded"]
+    "kwargs, pins", FLEET_PINS, ids=["traced", "overload-crash"]
 )
 def test_fleet_artifacts_pinned(provisioned, kwargs, pins):
     report = run_fleet(bundle=provisioned.bundle, **kwargs)

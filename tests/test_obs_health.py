@@ -268,6 +268,38 @@ class TestHealthMonitor:
         assert "STALLED" in report.table()
 
 
+class TestExitCode:
+    """``repro health``'s contract: 0 ok, 1 violation or stall, 2 NO DATA."""
+
+    HOLDS = SloRule("holds", metric="errors", op="<=", threshold=1)
+    VIOLATED = SloRule("violated", metric="errors", op=">=", threshold=5)
+    MISSING = SloRule("typo", metric="no.such", op="<=", threshold=1)
+
+    @staticmethod
+    def _exit_code(rules, watchdog=None):
+        reg = MetricsRegistry()
+        reg.inc("errors", 0)
+        return HealthMonitor(reg, rules, watchdog=watchdog).evaluate().exit_code
+
+    def test_every_rule_holds_exits_0(self):
+        assert self._exit_code([self.HOLDS]) == 0
+
+    def test_measured_violation_exits_1(self):
+        assert self._exit_code([self.HOLDS, self.VIOLATED]) == 1
+
+    def test_stall_exits_1(self):
+        def stalled():
+            return check_heartbeats({}, now=100)
+
+        assert self._exit_code([self.HOLDS], watchdog=stalled) == 1
+
+    def test_only_missing_metrics_exit_2(self):
+        assert self._exit_code([self.HOLDS, self.MISSING]) == 2
+
+    def test_missing_metric_with_violation_exits_1(self):
+        assert self._exit_code([self.MISSING, self.VIOLATED]) == 1
+
+
 class TestAcceptanceFlightRecorderOnSloViolation:
     """Issue criterion: a violated SLO dumps the spans leading up to it."""
 
