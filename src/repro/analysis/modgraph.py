@@ -101,12 +101,6 @@ class Project:
     root: Path
     modules: dict[str, ModuleInfo]
 
-    def module_of_path(self, path: Path) -> ModuleInfo | None:
-        for mod in self.modules.values():
-            if mod.path == path:
-                return mod
-        return None
-
 
 def _is_type_checking_test(test: ast.expr) -> bool:
     """Matches ``if TYPE_CHECKING:`` and ``if typing.TYPE_CHECKING:``."""

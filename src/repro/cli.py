@@ -222,9 +222,7 @@ def _cmd_health(args: argparse.Namespace) -> int:
         secure_fault_profile="chaos" if args.chaos else "none",
     )
     recorder = FlightRecorder(capacity=args.flight_capacity)
-    runtime = simulate_device_runtime(
-        spec, bundle, recorder=recorder, collect_traces=args.trace_ids,
-    )
+    runtime = simulate_device_runtime(spec, bundle, recorder=recorder)
     device = runtime.report
     monitor = HealthMonitor(
         device.registry,
@@ -534,14 +532,14 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--traces", default="",
         help="write the fleet-wide correlated trace timeline (JSONL, one "
-             "doc per span, trace ids thread device->relay->cloud) here; "
-             "enables trace-id stamping",
+             "doc per trace-stamped span; a relay span's dialog_id joins "
+             "the cloud record) here; keeps each device's spans",
     )
     fleet.add_argument(
         "--trace-chrome", default="",
         help="write the fleet timeline as a Chrome trace (one track per "
-             "device, load in about://tracing or Perfetto) here; enables "
-             "trace-id stamping",
+             "device, load in about://tracing or Perfetto) here; keeps "
+             "each device's spans",
     )
     fleet.set_defaults(func=_cmd_fleet)
 
@@ -585,14 +583,9 @@ def build_parser() -> argparse.ArgumentParser:
              "repo root; empty string to skip writing)",
     )
     health.add_argument(
-        "--trace-ids", action="store_true",
-        help="stamp deterministic per-utterance trace ids through spans "
-             "and relay sends (adds wire bytes; decisions unchanged)",
-    )
-    health.add_argument(
         "--trace-only", action="store_true",
         help="on violation, narrow the flight dump to the offending "
-             "trace's spans (needs --trace-ids)",
+             "trace's spans",
     )
     health.add_argument(
         "--chaos", action="store_true",
@@ -605,8 +598,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument(
         "--route-alerts", action=argparse.BooleanOptionalAction, default=True,
-        help="on violation, ship the health report through the TA's "
-             "secure relay (sealed store-and-forward on outage)",
+        help="on violation, ship the rule verdicts and stalls (no spans, "
+             "no trace ids) through the TA's secure relay (sealed "
+             "store-and-forward on outage)",
     )
     health.set_defaults(func=_cmd_health)
 

@@ -55,9 +55,9 @@ from repro.sim.rng import SimRng
 class CloudRecord:
     """One transcript as the cloud received it.
 
-    ``trace_id`` is the device-derived correlation id carried on the
-    event (empty for trace-off senders) — it lets an operator join this
-    record with the device-side spans of the same utterance.
+    ``(device_id, dialog_id)`` is the operator's join key back to the
+    device: the sending TA's ``relay`` stage span records the dialog id
+    next to the utterance's trace id, which never leaves the device.
     """
 
     transcript: str
@@ -65,7 +65,6 @@ class CloudRecord:
     encrypted_transport: bool
     attempt: int = 1
     device_id: str = ""
-    trace_id: str = ""
 
 
 @dataclass(frozen=True)
@@ -370,7 +369,7 @@ class VoiceCloudService:
     def _handle_event(self, payload: bytes, encrypted: bool) -> bytes:
         try:
             event = AvsEvent.from_bytes(payload)
-            dialog_id, attempt, device_id, trace_id = event.dialog()
+            dialog_id, attempt, device_id = event.dialog()
         except RecordError:
             return json.dumps({"directive": "error", "reason": "bad event"}).encode()
         self.events_handled += 1
@@ -388,7 +387,6 @@ class VoiceCloudService:
                     encrypted_transport=encrypted,
                     attempt=attempt,
                     device_id=device_id,
-                    trace_id=trace_id,
                 )
                 retry_after = self._admit(record, key)
                 if retry_after:

@@ -58,7 +58,6 @@ class SecurePipeline:
         retry_policy: "RetryPolicy | None" = None,
         supervisor: "SupervisorPolicy | None" = None,
         device_id: str = "",
-        trace_ids: bool = False,
         queue_max_depth: int = 64,
     ):
         self.platform = platform
@@ -81,7 +80,6 @@ class SecurePipeline:
                 supervisor.checkpoint_every if supervisor is not None else 1
             ),
             device_id=device_id,
-            trace_ids=trace_ids,
             queue_max_depth=queue_max_depth,
         )
         signature = None

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterator
 
 from repro.core import pta_audio
 from repro.core.filter import FilterBundle
@@ -80,6 +80,9 @@ from repro.optee.uuid import TaUuid
 from repro.relay.queue import StoreForwardQueue
 from repro.relay.relay import RelayModule, RetryPolicy
 from repro.sim.rng import SimRng
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.obs.span import Span
 
 CMD_PROCESS = 1
 CMD_STATS = 2
@@ -131,7 +134,6 @@ def make_audio_filter_ta(
     supervised: bool = False,
     checkpoint_every: int = 1,
     device_id: str = "",
-    trace_ids: bool = False,
     queue_max_depth: int = 64,
 ) -> type[TrustedApplication]:
     """Build the TA class with the model and deployment config baked in.
@@ -144,12 +146,13 @@ def make_audio_filter_ta(
     duplicate suppression per sender; empty (the default) keeps the wire
     bytes of single-device runs unchanged.
 
-    ``trace_ids=True`` stamps every utterance with a deterministic trace
-    id — ``{device_id}/u{seq:05d}``, derived from the TA's own utterance
-    counter, never a clock or RNG — carried on stage spans, relay events,
-    store-and-forward entries and cloud records, so one utterance can be
-    followed end to end.  Default off: the id rides the wire payload, and
-    single-device perf baselines pin those bytes.
+    Every utterance gets a deterministic trace id —
+    ``{device_id}/u{seq:05d}``, derived from the TA's own utterance
+    counter, never a clock or RNG — on its stage spans and in the sealed
+    checkpoint.  The id never leaves the device: the ``relay`` stage span
+    records the ``dialog_id`` it allocated, and the cloud already
+    receives ``(deviceId, dialogRequestId)``, so an operator joins a
+    cloud record to its utterance by that pair.
     """
 
     class AudioFilterTa(TrustedApplication):
@@ -178,20 +181,15 @@ def make_audio_filter_ta(
             self._ckpt_writes = 0
             # Monotonic utterance counter behind trace-id derivation;
             # counts committed utterances across restarts (restored from
-            # the checkpoint in supervised trace runs).
+            # the checkpoint in supervised runs).
             self._utt_seq = 0
 
         def _next_trace_id(self) -> str:
             """Allocate the next utterance's deterministic trace id.
 
-            The counter always advances (pure Python, no cycles charged)
-            but the id is only materialized when the TA was built with
-            ``trace_ids`` — disabled runs return ``""`` and nothing
-            downstream carries a stamp.
+            Pure Python, no cycles charged.
             """
             self._utt_seq += 1
-            if not trace_ids:
-                return ""
             return f"{device_id or 'device'}/u{self._utt_seq:05d}"
 
         # -- lifecycle ---------------------------------------------------------
@@ -315,10 +313,7 @@ def make_audio_filter_ta(
                 return
             self._ckpt_seq = int(best["seq"])
             self._ckpt_record = best["record"]
-            # Older checkpoints (or trace-disabled ones) carry no
-            # utterance counter; the supervisor's 1-based seq is the same
-            # count in supervised mode, so it is the correct fallback.
-            self._utt_seq = int(best.get("utt_seq", best["seq"]))
+            self._utt_seq = int(best["utt_seq"])
             self.relay_counts.update(best["relay_counts"])
             self.stage_cycles.update(
                 {k: int(v) for k, v in best["stages"].items()}
@@ -363,11 +358,8 @@ def make_audio_filter_ta(
                 "relay_stats": dict(self.relay.stats),
                 "stages": dict(self.stage_cycles),
                 "cycle": ctx.now(),
+                "utt_seq": self._utt_seq,
             }
-            if trace_ids:
-                # Only trace runs grow the doc: seal cost scales with
-                # payload bytes, and trace-off runs pin byte-identity.
-                doc["utt_seq"] = self._utt_seq
             name = _CKPT_NAMES[self._ckpt_writes % len(_CKPT_NAMES)]
             ctx.storage.put(name, json.dumps(doc).encode())
             self._ckpt_writes += 1
@@ -417,8 +409,8 @@ def make_audio_filter_ta(
             self._capture_ready = True
 
         @contextmanager
-        def _stage(self, name: str, **attrs: Any) -> Iterator[None]:
-            """Bracket one Fig. 1 stage in a span.
+        def _stage(self, name: str, **attrs: Any) -> Iterator[Span]:
+            """Bracket one Fig. 1 stage in a span, and yield the span.
 
             The span feeds the observability layer (per-stage histograms,
             exportable traces); its duration also accumulates into the
@@ -426,7 +418,7 @@ def make_audio_filter_ta(
             """
             assert self.ctx is not None
             with self.ctx.span(name, category="stage.secure", **attrs) as sp:
-                yield
+                yield sp
             self.stage_cycles[name] += sp.cycles
 
         # -- fault-tolerant relay ---------------------------------------------
@@ -461,7 +453,6 @@ def make_audio_filter_ta(
                     payload,
                     dialog_id=meta.get("dialog_id"),
                     prior_attempts=int(meta.get("attempts", 0)),
-                    trace_id=str(meta.get("trace_id", "")),
                 )
             )
             self.relay_counts["drained"] += drained
@@ -474,15 +465,16 @@ def make_audio_filter_ta(
             return drained
 
         def _relay(
-            self, kind: str, payload: str, trace_id: str = ""
-        ) -> tuple[str, dict | None, int, str | None]:
+            self, kind: str, payload: str
+        ) -> tuple[str, dict | None, int, str | None, int]:
             """Deliver one payload of ``kind``; spill it sealed on failure.
 
             The one way data leaves the TA: decisions (``"transcript"``)
             and health alerts (``"alert"``) share this send, spill and
-            drain.  Returns ``(status, directive, attempts, entry)`` —
-            ``"sent"`` with the cloud's directive, ``"queued"`` or
-            ``"throttled"`` with the sealed entry's name, or ``"shed"`` —
+            drain.  Returns ``(status, directive, attempts, entry,
+            dialog_id)`` — ``"sent"`` with the cloud's directive,
+            ``"queued"`` or ``"throttled"`` with the sealed entry's name,
+            or ``"shed"``, plus the dialog id the payload travels under —
             and leaves the accounting to the caller.
 
             The payload is already filtered, so sealing it leaks nothing
@@ -499,7 +491,7 @@ def make_audio_filter_ta(
             dialog_id = self.relay.allocate_dialog_id()
             try:
                 directive = self.relay.send_payload(
-                    kind, payload, dialog_id=dialog_id, trace_id=trace_id
+                    kind, payload, dialog_id=dialog_id
                 )
             except RelayDeliveryError as exc:
                 status = (
@@ -511,8 +503,6 @@ def make_audio_filter_ta(
                 # default), so decision entries and events carry none.
                 tag = {} if kind == "transcript" else {"kind": kind}
                 meta = {"dialog_id": dialog_id, "attempts": exc.attempts, **tag}
-                if trace_id:
-                    meta["trace_id"] = trace_id
                 try:
                     entry = self.queue.enqueue(payload, meta=meta)
                 except RelayQueueFullError as full:
@@ -520,31 +510,29 @@ def make_audio_filter_ta(
                     self.ctx.log(
                         "relay_shed", depth=full.depth, would_be=status, **tag
                     )
-                    return RELAY_SHED, None, exc.attempts, None
+                    return RELAY_SHED, None, exc.attempts, None, dialog_id
                 self.ctx.log(
                     "relay_queued",
                     entry=entry, depth=len(self.queue), status=status, **tag,
                 )
-                return status, None, exc.attempts, entry
-            # The link just worked: opportunistically flush the backlog.
-            # ``last_attempts`` is read after the drain, so a drained
-            # re-send overwrites this payload's count (pinned as is by
-            # the decision digests).
+                return status, None, exc.attempts, entry, dialog_id
+            # The link just worked: opportunistically flush the backlog,
+            # after reading this payload's own attempt count (a drained
+            # re-send overwrites ``last_attempts``).
+            attempts = self.relay.last_attempts
             self._drain_queue()
-            return RELAY_SENT, directive, self.relay.last_attempts, None
+            return RELAY_SENT, directive, attempts, None, dialog_id
 
         def _alert(self, doc: dict[str, Any]) -> dict[str, Any]:
             """``CMD_ALERT``: relay a health alert as decisions are relayed.
 
             Returns ``{"status", "directive" | "entry", "attempts"}``; the
             outcome counts in ``tee.alerts_*``, never in the decision
-            counts.  The trace that tripped the SLO rides the alert.
+            counts.
             """
             assert self.ctx is not None
-            status, directive, attempts, entry = self._relay(
-                "alert",
-                json.dumps(doc, sort_keys=True),
-                trace_id=str(doc.get("trace_id", "") or ""),
+            status, directive, attempts, entry, _ = self._relay(
+                "alert", json.dumps(doc, sort_keys=True)
             )
             self.ctx.metrics.inc(_ALERT_COUNTERS[status])
             outcome = {
@@ -578,9 +566,7 @@ def make_audio_filter_ta(
             tid = self._next_trace_id()
             self._ensure_capture()
 
-            with self._stage(
-                "capture", frames=frames, **({"trace_id": tid} if tid else {})
-            ):
+            with self._stage("capture", frames=frames, trace_id=tid):
                 pcm = ctx.invoke_pta(
                     pta_uuid, pta_audio.CMD_READ, {"frames": frames}
                 )
@@ -595,14 +581,13 @@ def make_audio_filter_ta(
             )
             return record
 
-        def _process_segment(self, pcm, trace_id: str = "") -> dict[str, Any]:
+        def _process_segment(self, pcm, trace_id: str) -> dict[str, Any]:
             """ASR → (wake-word gate) → classify → filter → relay."""
             ctx = self.ctx
             assert ctx is not None and self.relay is not None
             costs = ctx._os.machine.costs
-            stamp = {"trace_id": trace_id} if trace_id else {}
 
-            with self._stage("asr", samples=len(pcm), **stamp):
+            with self._stage("asr", samples=len(pcm), trace_id=trace_id):
                 ctx.compute(
                     costs.ml_inference_cycles(
                         self.bundle.asr_macs(len(pcm)), secure=True, int8=False
@@ -610,7 +595,7 @@ def make_audio_filter_ta(
                 )
                 transcript = self.bundle.asr.transcribe(pcm)
 
-            with self._stage("classify", **stamp):
+            with self._stage("classify", trace_id=trace_id):
                 classify_text = transcript
                 if self.bundle.gate is not None:
                     ctx.compute(300)  # prefix check is trivial
@@ -642,16 +627,17 @@ def make_audio_filter_ta(
                 )
                 decision = self.bundle.filter.apply(classify_text)
 
-            with self._stage("filter", **stamp):
+            with self._stage("filter", trace_id=trace_id):
                 ctx.compute(200)
 
-            with self._stage("relay", **stamp):
+            with self._stage("relay", trace_id=trace_id) as span:
                 directive = None
                 relay_status, relay_attempts = RELAY_DROPPED, 0
                 if decision.forwarded and decision.payload is not None:
-                    relay_status, directive, relay_attempts, _ = self._relay(
-                        "transcript", decision.payload, trace_id=trace_id
+                    relay_status, directive, relay_attempts, _, dialog_id = (
+                        self._relay("transcript", decision.payload)
                     )
+                    span.attrs["dialog_id"] = dialog_id
                 self.relay_counts[relay_status] += 1
             record = {
                 "transcript": transcript,
@@ -690,7 +676,7 @@ def make_audio_filter_ta(
                 tid = self._next_trace_id()
                 with ctx.span(
                     "segment", category="pipeline.secure", index=i,
-                    **({"trace_id": tid} if tid else {}),
+                    trace_id=tid,
                 ):
                     records.append(self._process_segment(seg, trace_id=tid))
             return records

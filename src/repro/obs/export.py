@@ -1,9 +1,9 @@
-"""Registry exporters: OpenMetrics / Prometheus text, JSONL, timelines.
+"""Registry exporters: OpenMetrics / Prometheus text, timelines.
 
 The fleet tier needs metrics to leave the process: the OpenMetrics text
 format (``repro fleet --metrics-out``) feeds any Prometheus-compatible
-scraper or pushgateway, and the JSONL form writes one metric per line
-with full histogram bucket state.
+scraper or pushgateway.  Full-fidelity registry state (every histogram's
+bucket state) is :meth:`~repro.obs.metrics.MetricsRegistry.to_doc`.
 
 Metric names are sanitized to the Prometheus grammar (dots become
 underscores); :class:`~repro.obs.metrics.BucketHistogram` metrics export
@@ -15,7 +15,8 @@ spans (``run_fleet(collect_traces=True)``) exports a fleet-wide
 correlated timeline — :func:`fleet_trace_jsonl` (one span per line, each
 carrying its ``device`` and ``trace_id``) and :func:`fleet_chrome_trace`
 (Chrome ``trace_event`` JSON with one track per device), so one utterance
-can be followed device → relay → cloud across the whole roster.
+can be followed through its stages; its ``relay`` span's ``dialog_id``
+joins it to the cloud's record of the same ``(device, dialog)`` pair.
 """
 
 from __future__ import annotations
@@ -79,39 +80,15 @@ def to_openmetrics(registry: MetricsRegistry) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_jsonl(registry: MetricsRegistry) -> str:
-    """One JSON object per metric.
-
-    Histograms carry their full bucket state (``BucketHistogram.to_doc``),
-    not just point summaries, so a consumer can merge them.
-    """
-    lines = []
-    for name, value in registry.counters().items():
-        lines.append(json.dumps(
-            {"kind": "counter", "name": name, "value": value},
-            sort_keys=True,
-        ))
-    for name, value in registry.gauges().items():
-        lines.append(json.dumps(
-            {"kind": "gauge", "name": name, "value": value},
-            sort_keys=True,
-        ))
-    for name, hist in registry.histograms().items():
-        lines.append(json.dumps(
-            {"kind": "histogram", "name": name, "state": hist.to_doc()},
-            sort_keys=True,
-        ))
-    return "\n".join(lines)
-
-
 def fleet_trace_jsonl(report: "FleetReport") -> str:
     """Fleet-wide correlated timeline: one span document per line.
 
     Each line is a span doc (from :meth:`Span.to_doc`) extended with the
     owning ``device`` id, so a reader can follow a single ``trace_id``
-    across every device, relay send, and queue drain that touched it.
-    Requires the fleet to have been run with ``collect_traces=True``;
-    devices that collected no trace spans contribute nothing.
+    through its stages, and from its ``relay`` span's ``dialog_id`` to
+    the cloud record and any drained re-send of it.  Requires the fleet
+    to have been run with ``collect_traces=True``; devices that collected
+    no trace spans contribute nothing.
     """
     lines = []
     for dev in report.devices:

@@ -298,8 +298,8 @@ def simulate_device_runtime(
     :class:`~repro.obs.health.FlightRecorder` before the run so a later
     SLO violation can dump the spans that led up to it.
 
-    ``collect_traces`` turns on deterministic trace-id stamping in the
-    pipeline and retains the trace-stamped span docs on the report.
+    ``collect_traces`` retains the trace-stamped span docs on the report
+    (every utterance's stage spans carry its trace id either way).
     """
     from repro.core.pipeline import SecurePipeline
     from repro.core.platform import IotPlatform
@@ -330,7 +330,6 @@ def simulate_device_runtime(
         bundle,
         supervisor=SupervisorPolicy() if supervised else None,
         device_id=spec.device_id,
-        trace_ids=collect_traces,
     )
     corpus = UtteranceGenerator(SimRng(spec.seed, "fleet")).generate(
         spec.utterances, sensitive_fraction=spec.sensitive_fraction

@@ -10,11 +10,13 @@ audio-filter TA's ``CMD_ALERT`` command, which sends it as an AVS
 the same queue as undelivered decisions (tagged ``kind="alert"``) for
 the next drain.
 
-Alerts carry operational telemetry only — SLO verdicts, watchdog stalls
-and the flight-recorder span window.  No audio and no transcripts, so
-routing them through normal-world shared memory into the TA leaks
-nothing (the payload is heading for the cloud anyway, and it leaves the
-device under TLS).
+Alerts carry SLO verdicts and watchdog stalls only.  No audio, no
+transcripts, no trace ids and no spans: the flight-recorder dump and
+the offending trace stay in the local health report (stdout and the
+``--dump`` file), because span events carry per-utterance facts such as
+the ``sensitive`` flag and trace ids whose gaps mark withheld
+utterances.  Routing the alert through normal-world shared memory into
+the TA therefore leaks nothing the cloud may not see.
 """
 
 from __future__ import annotations
@@ -36,23 +38,14 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 def build_alert_doc(
     report: "HealthReport", device_id: str = "device-0"
 ) -> dict[str, Any]:
-    """The JSON alert document for one health report.
-
-    When the report identified an offending trace, the alert carries its
-    id so the receiver can correlate the alert with the device-side spans
-    of the utterance that tripped the SLO.
-    """
-    doc = {
+    """The JSON alert document for one health report: its verdicts."""
+    return {
         "kind": "health_alert",
         "device": device_id,
         "ok": report.ok,
         "rules": [e.to_doc() for e in report.evaluations],
         "stalled": [a.to_doc() for a in report.stalled],
-        "flight_recorder": report.flight_dump or "",
     }
-    if report.offending_trace:
-        doc["trace_id"] = report.offending_trace
-    return doc
 
 
 def route_health_alert(

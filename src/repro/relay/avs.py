@@ -60,7 +60,6 @@ class AvsEvent:
         dialog_id: int,
         attempt: int = 1,
         device_id: str = "",
-        trace_id: str = "",
     ) -> "AvsEvent":
         """The event carrying one relayed payload of ``kind``.
 
@@ -69,11 +68,12 @@ class AvsEvent:
         *same* logical event (``dialogRequestId`` is stable across
         retries), so the cloud can suppress duplicates when only a reply
         was lost.  ``device_id`` scopes that suppression per sender —
-        dialog ids are per-device counters.  ``trace_id`` correlates the
-        event with the device-side spans of the same utterance.  Each of
-        the three is omitted at its default, so first-attempt,
-        single-device, trace-off runs keep the wire bytes of a protocol
-        without them; :meth:`dialog` reads them back with those defaults.
+        dialog ids are per-device counters.  Each of the two is omitted at
+        its default, so first-attempt, single-device runs keep the wire
+        bytes of a protocol without them; :meth:`dialog` reads them back
+        with those defaults.  No trace id is carried: the device keeps
+        it, and the ``(deviceId, dialogRequestId)`` pair joins the
+        event to the device-side spans of its utterance.
         """
         namespace, name, body_key = EVENT_KINDS[kind]
         payload: dict[str, Any] = {body_key: body, "dialogRequestId": dialog_id}
@@ -81,8 +81,6 @@ class AvsEvent:
             payload["attempt"] = attempt
         if device_id:
             payload["deviceId"] = device_id
-        if trace_id:
-            payload["traceId"] = trace_id
         return cls(namespace=namespace, name=name, payload=payload)
 
     @classmethod
@@ -97,8 +95,8 @@ class AvsEvent:
         """Keep-alive event."""
         return cls(namespace="System", name="SynchronizeState", payload={})
 
-    def dialog(self) -> tuple[int, int, str, str]:
-        """``(dialog_id, attempt, device_id, trace_id)`` of this event.
+    def dialog(self) -> tuple[int, int, str]:
+        """``(dialog_id, attempt, device_id)`` of this event.
 
         Omitted fields read as the defaults :meth:`of_kind` omits (a
         missing dialog id as ``-1``).  The sender is untrusted: a dialog
@@ -110,7 +108,6 @@ class AvsEvent:
                 operator.index(get("dialogRequestId", -1)),
                 operator.index(get("attempt", 1)),
                 str(get("deviceId", "")),
-                str(get("traceId", "")),
             )
         except _MALFORMED_FIELD as exc:
             raise RecordError(f"malformed AVS event field: {exc}") from exc
@@ -177,7 +174,6 @@ class AvsClient:
         body: str,
         dialog_id: int | None = None,
         attempt: int = 1,
-        trace_id: str = "",
         kind: str = "transcript",
     ) -> dict[str, Any]:
         """Send one relayed payload; returns the cloud's directive.
@@ -189,7 +185,7 @@ class AvsClient:
             dialog_id = self.allocate_dialog_id()
         reply = self._request(
             AvsEvent.of_kind(
-                kind, body, dialog_id, attempt, self._device_id, trace_id
+                kind, body, dialog_id, attempt, self._device_id
             ).to_bytes()
         )
         self.events_sent += 1

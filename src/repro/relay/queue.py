@@ -81,10 +81,9 @@ class StoreForwardQueue:
         """Seal ``payload`` into the queue; returns the entry name.
 
         ``meta`` is stored alongside and handed back verbatim on drain —
-        the dialog id, prior attempt count and (for trace runs) the
-        utterance's ``trace_id`` all ride here, so a drained re-send
-        keeps the original event's identity.  The key ``"payload"`` is
-        reserved for the payload itself.
+        the dialog id and prior attempt count ride here, so a drained
+        re-send keeps the original event's identity.  The key
+        ``"payload"`` is reserved for the payload itself.
         """
         if meta and "payload" in meta:
             raise ValueError('meta key "payload" is reserved')

@@ -241,7 +241,6 @@ class RelayModule:
         payload: str,
         dialog_id: int | None = None,
         prior_attempts: int = 0,
-        trace_id: str = "",
     ) -> dict[str, Any]:
         """Ship one (already filtered) payload of ``kind`` to the cloud.
 
@@ -253,16 +252,14 @@ class RelayModule:
         attempt of one logical event carries the same ``dialog_id`` (pass
         the stored id and ``prior_attempts`` when re-sending a queued
         payload), so the cloud can suppress duplicates when only a reply
-        was lost.  ``trace_id`` (when non-empty) rides every attempt's
-        event so the cloud record correlates with the device-side spans.
+        was lost.
         """
         if dialog_id is None:
             dialog_id = self.allocate_dialog_id()
         attempts = itertools.count(prior_attempts + 1)
         return self._deliver(
             lambda: self._avs.recognize(
-                payload, dialog_id, next(attempts), trace_id=trace_id,
-                kind=kind,
+                payload, dialog_id, next(attempts), kind=kind
             )
         )
 

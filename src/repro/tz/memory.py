@@ -224,10 +224,6 @@ class PhysicalMemory:
             return
         region.write_raw(addr, data)
 
-    def attr_at(self, addr: int) -> SecurityAttr:
-        """Security attribute of the partition containing ``addr``."""
-        return self.resolve(addr).attr
-
     # -- internals ------------------------------------------------------------
 
     def _access(

@@ -11,7 +11,13 @@ change that moves one of them changed what leaves the device.  The two
 wire digests were re-recorded when every simulated cloud took the one
 fleet identity key (:func:`repro.cloud.service.avs_identity`): the
 handshake's key schedule, and so every ciphertext and MAC byte, changed;
-no frame count, outcome or counter did.
+no frame count, outcome or counter did.  They were re-recorded again
+when trace ids came to stay on the device: the alert document lost its
+``flight_recorder`` field (and its ``trace_id``, absent here), which the
+same code reproduces the old digests with, and the events lost their
+``traceId`` variant; the ``all`` variant pins the remaining optional
+fields, whose encoding did not change.  The health stdout gained the
+``offending trace:`` line, now that every utterance carries an id.
 """
 
 import hashlib
@@ -47,15 +53,10 @@ EVENT_PINS = {
         "b24314351685837ae8c364581138638161d01c0753694c2a24d7970a5b7653ba",
         "cb8fce169a79a310944f879d7ac8bd721206835f16b4c3e34297e670fd6ea365",
     ),
-    "trace": (
-        {"trace_id": "d01/u00002"},
-        "22c8d920ed092ce8e1fb4285eb80498648289b8d9b4343430b6f6c10594cd5f7",
-        "7871c0a66dadbfa5ff3fb5344abb2f70a3507fb729bdef2c7c251b38aaf0ef1a",
-    ),
     "all": (
-        {"attempt": 2, "device_id": "d01", "trace_id": "d01/u00002"},
-        "06f65e01fb1124072bb045bab40b3692580da83bbe532a3f8d4ae0db4c84eaf8",
-        "5e40b9075e30b3dc57b639cebd1ab4059d32f6dc45ea9cea677cd3d223951e01",
+        {"attempt": 2, "device_id": "d01"},
+        "ae80db3ca51d8ddd1428ececced298521695efdef9ef1a8ed2ab7eefad9188a9",
+        "328585c15823aaadab054530ef1795dc2683146146da638fafdb96dc951cd00b",
     ),
 }
 
@@ -69,6 +70,7 @@ battery_drain              14.6       <= 2e+03       ok
 recovery_time                 0       <= 1e+08    gated
 shed_rate                     0         <= 0.5    gated
 admission_latency       2.15e+03       <= 5e+04       ok
+offending trace: health/u00003
 
 flight recorder: 39 spans captured
 alert routed through relay: sent (attempts 1)
@@ -138,7 +140,7 @@ class TestAlertRouting:
         assert _alert_counters(platform) == {"tee.alerts_sent": 1}
         assert len(platform.supplicant.net.wire_log) == 2
         assert _wire_sha(platform) == (
-            "5e10dad5b61796d5e17a116cc2e047af4bba910af7e4f2a711b5bf1da06ca30d"
+            "57f5150af750c002149e1a3ee54a144c880485f3fe5934b29198b636452fe643"
         )
         assert [a["device"] for a in platform.cloud.alerts] == ["dut"]
 
@@ -184,7 +186,7 @@ class TestAlertRouting:
         assert _alert_counters(platform) == {"tee.alerts_queued": 1}
         assert len(platform.supplicant.net.wire_log) == 4
         assert _wire_sha(platform) == (
-            "1b179ad27b8b400a33fd56c55bc9715f46e2ac4737ede26df46df5210fb8068b"
+            "c684a3aef3e86fb933a63645b42e06ff5b898f5802fa84dcee9e05a4b910d146"
         )
         assert [a["device"] for a in platform.cloud.alerts] == ["dut"]
 

@@ -293,6 +293,32 @@ class TestRecovery:
         names = {e.name for e in events}
         assert "checkpoint_restored" in names
 
+    @pytest.mark.parametrize("script, seqs", [
+        # Before utterance 3's CMD_PROCESS runs: no capture in the dead TA.
+        ({"ta_panic": {2}}, [1, 2, 3, 4, 5, 6]),
+        # Mid-capture of utterance 3 (PTA draws 0-4 bring capture up for
+        # utterance 1, then one READ each): the retry keeps its id.
+        ({"pta": {6}}, [1, 2, 3, 3, 4, 5, 6]),
+    ], ids=["before-invoke", "mid-capture"])
+    def test_trace_ids_stay_consecutive_across_restarts(
+        self, provisioned, script, seqs
+    ):
+        """The restarted TA restores the utterance counter from the sealed
+        checkpoint, so every utterance keeps one id of its own."""
+        platform, pipeline = self._supervised(provisioned)
+        platform.machine.secure_faults = ScriptedInjector(script=script)
+        try:
+            pipeline.process(_workload(provisioned.bundle, n=6))
+        finally:
+            pipeline.close()
+        assert pipeline.supervisor.restarts == 1
+        captures = [
+            sp.trace_id
+            for sp in platform.machine.obs.tracer.spans_in("stage.secure")
+            if sp.name == "capture"
+        ]
+        assert captures == [f"device/u{i:05d}" for i in seqs]
+
     def test_full_chaos_profile_tolerates_corrupt_checkpoint(
         self, provisioned
     ):
@@ -307,6 +333,16 @@ class TestRecovery:
         names = [e.name for e in events]
         assert "checkpoint_invalid" in names   # generation a: corrupted read
         assert "checkpoint_restored" in names  # ...generation b still good
+        # Every utterance keeps one id across the restart.
+        captures = [
+            sp.trace_id
+            for sp in platform.machine.obs.tracer.spans_in("stage.secure")
+            if sp.name == "capture"
+        ]
+        assert captures == sorted(captures)
+        assert sorted(set(captures)) == [
+            f"device/u{i:05d}" for i in range(1, 11)
+        ]
 
     def test_replay_guard_returns_committed_record(self, provisioned):
         """Re-invoking the checkpointed seq must not re-decide or re-send."""

@@ -1,5 +1,7 @@
 """Unit tests: the command-line interface."""
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -247,6 +249,14 @@ class TestTeardown:
         assert closed.count("BaselinePipeline") == 1
 
 
+def _subparser(name: str):
+    """The ``argparse`` parser of one ``repro`` subcommand."""
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[name]
+
+
 class TestHealthExitCodes:
     """The documented contract: 0 ok, 1 violation/stall, 2 NO DATA."""
 
@@ -256,8 +266,18 @@ class TestHealthExitCodes:
         text = capsys.readouterr().out
         assert "exit codes" in text
         assert "NO DATA" in text
-        for flag in ("--trace-ids", "--trace-only"):
-            assert flag in text
+        # Look the flags up among the parser's own option strings: a
+        # flag named only inside another flag's help text is no flag.
+        health = _subparser("health")
+        options = {s for a in health._actions for s in a.option_strings}
+        assert "--trace-only" in options
+        assert "--trace-ids" not in options
+
+    def test_removed_trace_ids_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["health", "--trace-ids"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --trace-ids" in capsys.readouterr().err
 
     def test_fleet_trace_flags_parse(self):
         args = build_parser().parse_args(

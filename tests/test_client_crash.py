@@ -220,6 +220,23 @@ class TestCrashRecovery:
         assert len(received) == 4
         assert len({(r.device_id, r.dialog_id) for r in received}) == 4
 
+    def test_trace_ids_continue_across_crashes(self, provisioned):
+        """Each recovered instance restores the utterance counter from
+        the sealed checkpoint: the ids stay unique and consecutive."""
+        platform, pipeline = self._supervised(provisioned, seed=517)
+        workload = make_workload(provisioned, BENIGN * 2)
+        for index, item in enumerate(workload.items):
+            if index in (1, 3):
+                pipeline.crash_client()
+                assert pipeline.recover_client()["utt_seq"] == index
+            pipeline.process_item(item)
+        captures = [
+            sp.trace_id
+            for sp in platform.machine.obs.tracer.spans_in("stage.secure")
+            if sp.name == "capture"
+        ]
+        assert captures == [f"device/u{i:05d}" for i in range(1, 5)]
+
 
 class TestRestoreChaos:
     """Satellite 3: intensified faults on the ``on_create`` restore path."""

@@ -420,10 +420,13 @@ class TestDefaultIngestByteIdentity:
     (:func:`repro.cloud.service.avs_identity`) instead of a key of its
     own: the handshake's key schedule changed, so every ciphertext and
     MAC byte on the wire did, while frame counts and sizes did not.  The
-    other four digests per seed are the sink's, unedited: what was
-    decided, what it cost in cycles and world switches, and what the
-    cloud recorded before and after ``flush()``.  They still prove that
-    the admission tier reproduces the sink.
+    two ``received_*`` entries were re-recorded when
+    :class:`~repro.cloud.service.CloudRecord` lost its ``trace_id``
+    field, always ``""`` here: putting that empty field back reproduces
+    the sink's digests.  The ``decisions`` and ``clock`` digests are the
+    sink's, unedited: what was decided and what it cost in cycles and
+    world switches.  With the records, they still prove that the
+    admission tier reproduces the sink.
     """
 
     SINK_DIGESTS = {
@@ -431,22 +434,22 @@ class TestDefaultIngestByteIdentity:
             "wire": "2493fbd4921c698d16ca97d77d0c4485c797d82492849862be545473e401a46c",
             "decisions": "6f755497dacdab5110a5e8a355229c7f83aa8281fbbc67c8eba27308026be9ee",
             "clock": "d04d36d1b227aa9601587b7732809b7d4c80f221c0514f3206e230debd0687c0",
-            "received_before_flush": "561eb0e596ae61c9455394eaac62d5b805b332725f554d0e1b12f1ec511a5ecb",
-            "received_after_flush": "561eb0e596ae61c9455394eaac62d5b805b332725f554d0e1b12f1ec511a5ecb",
+            "received_before_flush": "db17f4ae76fb5cb06c1f15f97ca260813a402c50adaad74d7df63ebbd5b542f6",
+            "received_after_flush": "db17f4ae76fb5cb06c1f15f97ca260813a402c50adaad74d7df63ebbd5b542f6",
         },
         438: {
             "wire": "9b60fdfe664e748998a098ca7a79d073691b6564315f5a6dbc4c50c06742ced1",
             "decisions": "9179218823e5f902a5b79f0cb57e09181456b15d8f4f0f1a487b56fe5da263bb",
             "clock": "6d577805fe64df545c946144328dc87d58cfef285a5baec2aa1c8cac913a63ea",
-            "received_before_flush": "9d51e52d5b92a05eb26fd3d40e7e74fbd089fc412750e799b5ae3d406f5ec88e",
-            "received_after_flush": "9d51e52d5b92a05eb26fd3d40e7e74fbd089fc412750e799b5ae3d406f5ec88e",
+            "received_before_flush": "0f35bd2bbe727547db8c96082d8f9a7424d9cf637459207cb4af70a7e580c7a1",
+            "received_after_flush": "0f35bd2bbe727547db8c96082d8f9a7424d9cf637459207cb4af70a7e580c7a1",
         },
         439: {
             "wire": "9b61e4c20be21fc3593c7eeb2fe308cd88c3521ea98243ef91621365106d3100",
             "decisions": "799694f8db271419631b5e60c283f06fb006b017af5ec884d4bf27b0b181a140",
             "clock": "e880d55b5b308f0fa1a65253a9afbe02c61676c96021a8b9abc65be15860b31a",
-            "received_before_flush": "c8f4919c770a6079ff8a5a2be647c0c067ce4731ef4442031347ab274a412f2b",
-            "received_after_flush": "c8f4919c770a6079ff8a5a2be647c0c067ce4731ef4442031347ab274a412f2b",
+            "received_before_flush": "9d3e568dceff89234b2ec2f1936eb70e0275d00e8af641f6176650dfc440a394",
+            "received_after_flush": "9d3e568dceff89234b2ec2f1936eb70e0275d00e8af641f6176650dfc440a394",
         },
     }
 

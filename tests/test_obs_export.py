@@ -1,8 +1,6 @@
-"""Unit tests: OpenMetrics and JSONL registry exporters."""
+"""Unit tests: the OpenMetrics registry exporter."""
 
-import json
-
-from repro.obs.export import sanitize_name, to_jsonl, to_openmetrics
+from repro.obs.export import sanitize_name, to_openmetrics
 from repro.obs.metrics import MetricsRegistry
 
 
@@ -52,38 +50,6 @@ class TestOpenMetrics:
         assert to_openmetrics(MetricsRegistry()) == "# EOF\n"
 
 
-def parse_jsonl(text: str) -> dict[tuple[str, str], dict]:
-    """The JSONL export keyed by ``(kind, name)``."""
-    docs = [json.loads(line) for line in text.splitlines()]
-    return {(d["kind"], d.get("name", "")): d for d in docs}
-
-
-class TestJsonlRoundTrip:
-    def test_snapshot_survives(self):
-        reg = populated()
-        docs = parse_jsonl(to_jsonl(reg))
-        assert {k: d.get("value") for k, d in docs.items()
-                if k[0] != "histogram"} == {
-            ("counter", "relay.sent"): 7,
-            ("counter", "tz.smc"): 3,
-            ("gauge", "relay.queue_depth"): 2,
-        }
-        assert ("histogram", "stage.secure.asr.cycles") in docs
-
-    def test_histogram_state_survives_not_just_summary(self):
-        reg = populated()
-        docs = parse_jsonl(to_jsonl(reg))
-        orig = reg.histogram("stage.secure.asr.cycles")
-        state = docs[("histogram", "stage.secure.asr.cycles")]["state"]
-        # Full bucket state plus retained samples, not point summaries.
-        assert state == orig.to_doc()
-        assert state["samples"] == [0.0, 100.0, 1_000.0, 10_000.0]
-
-    def test_lines_are_valid_json(self):
-        for line in to_jsonl(populated()).splitlines():
-            json.loads(line)
-
-
 class TestMergedRegistryExposition:
     """Histogram exposition stays well-formed under fleet merges."""
 
@@ -103,11 +69,3 @@ class TestMergedRegistryExposition:
         ]
         assert counts == sorted(counts)
         assert counts[-1] == 9
-
-    def test_merged_registry_round_trips_through_jsonl(self):
-        reg = self._merged()
-        docs = parse_jsonl(to_jsonl(reg))
-        state = docs[("histogram", "stage.secure.asr.cycles")]["state"]
-        merged = reg.histogram("stage.secure.asr.cycles")
-        assert state == merged.to_doc()
-        assert state["count"] == 9

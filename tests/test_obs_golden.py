@@ -15,7 +15,14 @@ its bucket bounds moved with it; no other line changed.  The ``doc`` and
 ``openmetrics`` digests were refreshed when energy came to be priced
 from the clock's per-domain totals: only energy floats moved, in their
 last digits (device and fleet ``energy_mj`` and ``battery_days``, span
-``energy_mj``, ``repro_fleet_e2e_energy_mj_sum``).
+``energy_mj``, ``repro_fleet_e2e_energy_mj_sum``).  When trace ids came
+to stay on the device, the ``traced`` roster's ``doc`` and
+``openmetrics`` became exactly those of the same roster run without
+traces before (no ``traceId`` bytes on its wire any more), and its two
+trace exports moved with the spans' cycles and the ``relay`` spans' new
+``dialog_id``; the ``overload-crash`` roster's ``doc`` and
+``openmetrics`` and the chaos health stdout moved with the bytes of the
+sealed checkpoint's ``utt_seq`` alone.
 """
 
 import hashlib
@@ -35,18 +42,18 @@ FLEET_PINS = [
     (
         dict(devices=4, seed=7, utterances=4, collect_traces=True),
         {
-            "doc": "9dc17970de845f0ae0e16575b159fda7485468e7963dabd0a6ea3bc8753ed643",
-            "openmetrics": "2acd0601713b37847f27091b2e297ffaa7e6f4fd45bd38f2df4e9639586d4837",
-            "trace_jsonl": "d0ebdd09aa9abf54cfb5fb1161332bf9274bf7e16cad0d0720588b7b1c24d97c",
-            "chrome": "d9f92353a461677233b2aa76cd1d67525e272eb1df565d4f093f511ebfbb2359",
+            "doc": "d233b92fa713d21600dc707adf01f78c5542981ed4a4c26dd12b55bcea80decb",
+            "openmetrics": "8c7fbdc1e6a707ebd0422f6d5aa3755e090c9882ba4ffa422a44fdf2d7eeb92a",
+            "trace_jsonl": "a6ad8330eac379f5859103c8779d9a660df84cd078f92e07e0a36e9f615a95ee",
+            "chrome": "2d1722aec58003969f72bdf42e72420d0c184694b00c6cd8f3e6db12ee22d012",
         },
     ),
     (
         dict(devices=6, seed=7, utterances=6, overload=True,
              client_crashes=True),
         {
-            "doc": "7819950c1389f8412b7442132f207739f6a96adae9f4af571b7d94174ee52eb3",
-            "openmetrics": "292a752a5a8ffc2d8531ea03a5fde115cc6ae27e556998cd6799e42fed4dca5f",
+            "doc": "aadf63115254851e99baf6da599755f2dd3571b3e66286588342051a07a7e580",
+            "openmetrics": "e6236a62f9c49f26e5d8bb8ff5c7d1a1ce7695afc66ece96e273d4338d972fea",
             # No traces collected: the empty string's digest.
             "trace_jsonl": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
             "chrome": "e45dbff716b0cf2542fd742ba6a21435a10ee3bd6170bb38179a772b4d7b4821",
@@ -61,7 +68,7 @@ p99_latency            5.72e+08       <= 2e+09       ok
 relay_success                 1         >= 0.9       ok
 queue_depth                   0           <= 4       ok
 battery_drain              17.7       <= 2e+03       ok
-recovery_time          1.69e+05       <= 1e+08       ok
+recovery_time           1.7e+05       <= 1e+08       ok
 shed_rate                     0         <= 0.5    gated
 admission_latency       2.15e+03       <= 5e+04       ok
 """

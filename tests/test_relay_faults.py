@@ -403,6 +403,28 @@ class TestStoreAndForward:
         )
         assert drained_record.attempt == 3  # 2 failed attempts + this one
 
+    def test_sent_decision_reports_its_own_attempts_after_drain(
+        self, provisioned
+    ):
+        # The decision's own send succeeds on its first try; the drain's
+        # re-send of the queued entry is then refused once over the lossy
+        # link and goes through on its second try.  The decision took one
+        # attempt, whatever its drain took.
+        platform, pipeline, saved = self._outage(provisioned, seed=413)
+        workload = make_workload(provisioned, BENIGN)
+        assert pipeline.process_item(workload.items[0]).relay_status == "queued"
+        platform.supplicant.net._endpoints.update(saved)
+        # handshake, the decision's record, the drain's first record
+        platform.supplicant.net.set_fault_injector(
+            ScriptedFaults([None, None, "refuse"])
+        )
+        sent = pipeline.process_item(workload.items[1])
+        assert sent.relay_status == "sent"
+        assert sent.relay_attempts == 1
+        stats = pipeline.session.invoke(CMD_STATS)["relay"]
+        assert stats["drained"] == 1
+        assert stats["retries"] == 2  # one in the outage, one in the drain
+
     def test_heartbeat_drains_queue(self, provisioned):
         platform, pipeline, saved = self._outage(provisioned, seed=414)
         workload = make_workload(provisioned, BENIGN[:1])

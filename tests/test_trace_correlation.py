@@ -1,26 +1,34 @@
-"""End-to-end trace correlation: device spans -> relay -> queue -> cloud.
+"""End-to-end trace correlation, with the trace ids kept on the device.
 
-The tentpole contract: with ``collect_traces`` on, every utterance gets
-a deterministic ``trace_id`` (``<device>/u<seq>``, derived from the TA's
-own utterance counter — no ambient RNG), and that id is visible on the
-device's spans, the AVS events the relay ships, the sealed
-store-and-forward queue entries, the cloud's records, and health
-alerts.  With it off, nothing carries an id and the wire bytes are the
-historical ones.  Either way, decisions are byte-identical — tracing is
-telemetry, not behaviour.
+Every utterance gets a deterministic ``trace_id`` (``<device>/u<seq>``,
+derived from the TA's own utterance counter — no ambient RNG) on its
+stage spans and in the sealed checkpoint.  Nothing that leaves the
+device carries it: the gaps in a device's ids mark exactly the
+utterances the filter withheld.  The ``relay`` stage span records the
+``dialog_id`` it allocated instead, so an operator joins every cloud
+record to its utterance by the ``(device_id, dialog_id)`` pair the cloud
+already receives — drained re-sends included, since the sealed queue
+entry keeps the original dialog id.  ``collect_traces`` only decides
+whether a fleet report keeps the stamped spans; decisions are
+byte-identical either way.
 """
 
+import dataclasses
 import json
+import re
 
 import pytest
 
+from repro.cloud.service import VoiceCloudService
 from repro.obs.export import fleet_chrome_trace, fleet_trace_jsonl
 from repro.obs.fleet import (
     DeviceSpec,
     FleetReport,
     simulate_device_runtime,
 )
-from repro.relay.avs import AvsEvent
+from repro.obs.health import FlightRecorder, HealthMonitor, default_slo_rules
+from repro.relay.alerts import route_health_alert
+from repro.relay.avs import EVENT_KINDS, AvsEvent
 
 
 def _spec(device_id="d00", seed=1007, utterances=4, profile="clean"):
@@ -41,12 +49,25 @@ def untraced(provisioned):
     return simulate_device_runtime(_spec(), provisioned.bundle)
 
 
+def _relay_spans_by_dialog(runtime) -> dict[int, list]:
+    """The ``relay`` stage spans of one device, by the dialog id each
+    allocated (a withheld utterance's span allocated none)."""
+    by_dialog: dict[int, list] = {}
+    for sp in runtime.machine.obs.tracer.spans:
+        if sp.name == "relay" and "dialog_id" in sp.attrs:
+            by_dialog.setdefault(sp.attrs["dialog_id"], []).append(sp)
+    return by_dialog
+
+
 class TestTraceIds:
     def test_cloud_records_carry_device_scoped_ids(self, traced):
         records = traced.platform.cloud.received
         assert records, "clean run must deliver transcripts"
+        by_dialog = _relay_spans_by_dialog(traced)
         for rec in records:
-            assert rec.trace_id.startswith("d00/u")
+            assert rec.device_id == "d00"
+            (span,) = by_dialog[rec.dialog_id]
+            assert span.trace_id.startswith("d00/u")
 
     def test_ids_are_sequential_per_utterance(self, traced):
         spans = traced.machine.obs.tracer.spans
@@ -66,14 +87,14 @@ class TestTraceIds:
         stages = by_tid["d00/u00001"]
         assert {"capture", "asr", "classify", "filter"} <= stages
 
-    def test_untraced_run_has_no_ids_anywhere(self, untraced):
-        assert all(
-            not sp.trace_id for sp in untraced.machine.obs.tracer.spans
-        )
-        assert all(
-            rec.trace_id == "" for rec in untraced.platform.cloud.received
-        )
+    def test_collect_traces_only_keeps_the_spans(self, traced, untraced):
+        stamped = lambda rt: [
+            (sp.name, sp.trace_id)
+            for sp in rt.machine.obs.tracer.spans if sp.trace_id
+        ]
+        assert stamped(untraced) == stamped(traced)
         assert untraced.report.trace_spans == []
+        assert len(traced.report.trace_spans) == len(stamped(traced))
 
     def test_decisions_byte_identical_traced_or_not(self, traced, untraced):
         keys = ("utterances", "accuracy", "forwarded", "sent", "queued",
@@ -89,37 +110,41 @@ class TestTraceIds:
 
 
 class TestWireBytes:
-    def test_trace_id_omitted_when_empty(self):
-        plain = AvsEvent.recognize("hi", 1).to_bytes()
-        assert b"traceId" not in plain
-        stamped = AvsEvent.recognize("hi", 1, trace_id="d00/u00001")
-        assert stamped.payload["traceId"] == "d00/u00001"
-        # Round trip through the wire encoding keeps the id.
-        back = AvsEvent.from_bytes(stamped.to_bytes())
-        assert back.payload["traceId"] == "d00/u00001"
+    def test_events_carry_no_trace_id(self):
+        for kind, (_, _, body_key) in EVENT_KINDS.items():
+            event = AvsEvent.of_kind(kind, "{}", 2, attempt=3, device_id="d01")
+            assert set(event.payload) == {
+                body_key, "dialogRequestId", "attempt", "deviceId",
+            }
+            assert b"traceId" not in event.to_bytes()
+            with pytest.raises(TypeError):
+                AvsEvent.of_kind(kind, "{}", 2, trace_id="d01/u00002")
 
-    def test_alert_event_carries_trace_id(self):
-        ev = AvsEvent.of_kind("alert", "{}", 2, trace_id="d01/u00002")
-        assert ev.payload["traceId"] == "d01/u00002"
-        assert b"traceId" not in AvsEvent.of_kind("alert", "{}", 2).to_bytes()
+    def test_sender_added_trace_id_is_ignored(self):
+        # An untrusted sender may still add one: it survives the wire
+        # encoding, but the cloud keys the dialog without it.
+        extra = AvsEvent.recognize("hi", 1, device_id="d00")
+        extra.payload["traceId"] = "d00/u00001"
+        back = AvsEvent.from_bytes(extra.to_bytes())
+        assert back.payload["traceId"] == "d00/u00001"
+        assert back.dialog() == (1, 1, "d00")
 
 
 class TestQueueCorrelation:
-    def test_queued_entries_keep_trace_id_through_drain(self, provisioned):
-        # A lossy network forces spills into the sealed queue; once the
-        # run ends, any still-queued metadata must carry the trace id so
-        # a later drain re-sends under the original identity.
+    def test_drained_resends_join_their_relay_span(self, provisioned):
+        # A lossy network spills a decision into the sealed queue; the
+        # drain re-sends it under the dialog id its relay span recorded.
         runtime = simulate_device_runtime(
-            _spec(device_id="dq", seed=1013, utterances=6, profile="lossy"),
-            provisioned.bundle, collect_traces=True,
+            _spec(device_id="dq", seed=3010, utterances=8, profile="lossy"),
+            provisioned.bundle,
         )
-        delivered = [r for r in runtime.platform.cloud.received
-                     if r.trace_id]
-        assert all(r.trace_id.startswith("dq/u") for r in delivered)
-        # Everything the cloud saw from this device is trace-stamped —
-        # including drained re-sends, which restore the id from the
-        # sealed entry's metadata.
-        assert delivered == runtime.platform.cloud.received
+        assert runtime.report.relay["drained"] >= 1
+        by_dialog = _relay_spans_by_dialog(runtime)
+        records = runtime.platform.cloud.received
+        assert records
+        for rec in records:
+            (span,) = by_dialog[rec.dialog_id]
+            assert span.trace_id.startswith("dq/u")
 
     def test_reserved_meta_key_rejected(self, platform):
         from repro.optee.storage import SecureStorage
@@ -159,17 +184,13 @@ class TestFleetTimelineExport:
 
 class TestHealthAlertCorrelation:
     def test_violation_report_names_offending_trace(self, provisioned):
-        from repro.obs.health import (
-            FlightRecorder,
-            HealthMonitor,
-            SloRule,
-        )
+        from repro.obs.health import SloRule
         from repro.relay.alerts import build_alert_doc
 
         recorder = FlightRecorder(capacity=64)
         runtime = simulate_device_runtime(
             _spec(device_id="dh", seed=1019, utterances=3),
-            provisioned.bundle, recorder=recorder, collect_traces=True,
+            provisioned.bundle, recorder=recorder,
         )
         monitor = HealthMonitor(
             runtime.report.registry,
@@ -185,5 +206,111 @@ class TestHealthAlertCorrelation:
         for line in report.flight_dump.splitlines():
             doc = json.loads(line)
             assert doc["attrs"]["trace_id"] == report.offending_trace
+        # The alert itself carries verdicts only.
         alert = build_alert_doc(report, device_id="dh")
-        assert alert["trace_id"] == report.offending_trace
+        assert set(alert) == {"kind", "device", "ok", "rules", "stalled"}
+        assert report.offending_trace not in json.dumps(alert)
+
+
+#: A trace id, a span document's keys, or a per-utterance verdict.
+_ON_DEVICE_ONLY = re.compile(r"/u\d{5}|trace_?id|traceId|\battrs\b|sensitive")
+
+
+def _strings(value):
+    """Every key and string value of a decoded JSON document."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield str(key)
+            yield from _strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+    elif isinstance(value, str):
+        yield value
+
+
+class TestTraceIdsStayOnDevice:
+    """The invariant: a default-settings device that withholds sensitive
+    utterances, runs on a lossy link and has its client crash, then
+    routes a health alert.  Its stage spans carry trace ids; nothing the
+    cloud receives carries a trace id, a span or a ``sensitive`` flag;
+    and every cloud record still joins to its utterance."""
+
+    @pytest.fixture(scope="class")
+    def device(self, provisioned):
+        events: list[bytes] = []
+        handle = VoiceCloudService._handle_event
+
+        def recording(cloud, payload, encrypted):
+            events.append(bytes(payload))
+            return handle(cloud, payload, encrypted)
+
+        spec = DeviceSpec(
+            device_id="dp", seed=3010, utterances=8, sensitive_fraction=0.5,
+            fault_profile="lossy", client_crash_profile="chaos",
+        )
+        recorder = FlightRecorder(capacity=256)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(VoiceCloudService, "_handle_event", recording)
+            runtime = simulate_device_runtime(
+                spec, provisioned.bundle, recorder=recorder
+            )
+            health = HealthMonitor(
+                runtime.report.registry,
+                rules=default_slo_rules(latency_budget_cycles=1),
+                recorder=recorder,
+            ).evaluate()
+            outcome = route_health_alert(
+                runtime.platform, runtime.ta_uuid, health, device_id="dp"
+            )
+        return runtime, health, outcome, events
+
+    def test_scenario_exercises_every_path(self, device):
+        runtime, health, outcome, _ = device
+        summary = runtime.report.summary
+        assert summary["forwarded"] < summary["utterances"]  # withheld some
+        assert runtime.report.client_restarts >= 1
+        assert runtime.report.relay["drained"] >= 1
+        assert health.flight_dump and health.offending_trace
+        assert outcome["status"] == "sent"
+        assert len(runtime.platform.cloud.alerts) == 1
+
+    def test_every_stage_span_carries_a_trace_id(self, device):
+        runtime = device[0]
+        stage_spans = [
+            sp for sp in runtime.machine.obs.tracer.spans_in("stage.secure")
+            if sp.name in ("capture", "asr", "classify", "filter", "relay")
+        ]
+        assert stage_spans
+        for sp in stage_spans:
+            assert re.fullmatch(r"dp/u\d{5}", sp.trace_id), (sp.name, sp.attrs)
+
+    def test_nothing_the_cloud_receives_carries_device_telemetry(self, device):
+        runtime, _, _, events = device
+        cloud = runtime.platform.cloud
+        docs = [json.loads(raw) for raw in events]
+        docs += cloud.alerts
+        docs += [dataclasses.asdict(rec) for rec in cloud.received]
+        assert any(doc.get("kind") == "health_alert" for doc in cloud.alerts)
+        for doc in docs:
+            for text in _strings(doc):
+                assert not _ON_DEVICE_ONLY.search(text), (text[:200], doc)
+
+    def test_every_cloud_record_joins_one_relay_span(self, device):
+        runtime = device[0]
+        by_dialog = _relay_spans_by_dialog(runtime)
+        # The spans of decisions that spilled into the sealed queue: the
+        # ``relay_queued`` event parents to its utterance's relay span.
+        spilled = {
+            ev.parent_id
+            for ev in runtime.machine.obs.tracer.spans_in("optee.ta")
+            if ev.name == "relay_queued"
+        }
+        drained = 0
+        records = runtime.platform.cloud.received
+        assert records
+        for rec in records:
+            assert rec.device_id == "dp"
+            (span,) = by_dialog[rec.dialog_id]
+            drained += span.id in spilled
+        assert drained >= 1
