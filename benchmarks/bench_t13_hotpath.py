@@ -151,12 +151,16 @@ def test_t13_hotpath(benchmark):
 
     # The refactor's acceptance bar: >=3x frames/sec on the capture path,
     # cheaper simulated CPU per chunk, full-period USB reads.  The
-    # frames/sec floor sits far below local runs (300k–600k) so shared CI
-    # runners cannot flake it; the speedup ratio is the load-bearing bound.
+    # frames/sec floor sits far below local runs (1.0M–1.7M on a 2-vCPU
+    # x86 host, Python 3.11) so shared CI runners cannot flake it; the
+    # speedup ratio is the load-bearing bound.
     assert speedup >= 3.0, f"capture speedup {speedup:.2f}x < 3x"
     assert vector_fps >= 50_000, \
         f"vectorized capture {vector_fps:.0f} frames/sec < 50000"
     assert switches_per_frame_block <= 0.5, \
         f"{switches_per_frame_block:.2f} camera world switches/frame > 0.5"
-    assert vector_cpu < scalar_cpu
+    # Both paths' simulated rows are exact: a path that double-charges
+    # or leaves cycles pending on its host moves them.
+    assert scalar_cpu // CHUNKS == 223_570, scalar_cpu // CHUNKS
+    assert vector_cpu // CHUNKS == 12_040, vector_cpu // CHUNKS
     assert usb_frames == CHUNK * 8

@@ -59,7 +59,6 @@ class SecureAudioPta(PseudoTa):
         self._controller = controller
         self._mmio_region = mmio_region
         self.driver: I2sDriver | None = None
-        self._host: SecureDriverHost | None = None
         self._utt_buf_addr: int | None = None
         self._utt_buf_size = 0  # allocated capacity (bytes)
         self._utt_buf_len = 0  # live utterance length (bytes)
@@ -103,10 +102,9 @@ class SecureAudioPta(PseudoTa):
         if self.driver is not None:
             return  # idempotent
         self.ctx.claim_region(self._mmio_region)
-        self._host = SecureDriverHost(self.ctx)
         compiled_out = payload.get("compiled_out") or frozenset()
         self.driver = I2sDriver(
-            self._host,
+            SecureDriverHost(self.ctx),
             self._controller,
             self._mmio_region,
             compiled_out=frozenset(compiled_out),
@@ -132,8 +130,7 @@ class SecureAudioPta(PseudoTa):
         system would hold) — the address experiments hand to the attack
         models, which then fault on it.
         """
-        assert self.driver is not None and self._host is not None
-        assert self.ctx is not None
+        assert self.driver is not None and self.ctx is not None
         full = np.empty(frames, dtype=np.int16)
         filled = 0
         empty_reads = 0
@@ -159,21 +156,25 @@ class SecureAudioPta(PseudoTa):
         return full
 
     def _land_utterance(self, pcm: np.ndarray) -> None:
+        """Land the utterance through the PTA's own context, not the
+        driver's host: the PTA is no driver entry point, so cycles priced
+        on the host here would wait for the next ``read_chunk``."""
         nbytes = len(pcm) * 2
         self._utt_buf_len = nbytes
         if nbytes == 0:
             return
-        assert self._host is not None
+        ctx = self.ctx
+        assert ctx is not None
         if self._utt_buf_addr is None or nbytes > self._utt_buf_size:
             if self._utt_buf_addr is not None:
-                self._host.free_buffer(self._utt_buf_addr)
-            self._utt_buf_addr = self._host.alloc_buffer(nbytes)
+                ctx.free_secure(self._utt_buf_addr)
+            self._utt_buf_addr = ctx.alloc_secure(nbytes)
             self._utt_buf_size = nbytes
-        self._host.write_mem(self._utt_buf_addr, pcm.astype("<i2").tobytes())
+        ctx.write_phys(self._utt_buf_addr, pcm.astype("<i2").tobytes())
         if nbytes < self._utt_buf_size:
             # Scrub the stale tail: a reused larger buffer would otherwise
             # keep the previous utterance's plaintext past the live window.
-            self._host.write_mem(
+            ctx.write_phys(
                 self._utt_buf_addr + nbytes, b"\x00" * (self._utt_buf_size - nbytes)
             )
 

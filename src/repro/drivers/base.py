@@ -59,8 +59,10 @@ def driver_fn(
         TCB breakdowns.
     entry_point:
         True for functions callable from outside the driver (the char
-        device, the PTA).  Descriptive only: neither the tracer nor the
-        TCB analyzer reads it.
+        device, the PTA).  An entry point settles its host when it returns
+        or raises: the cycles it and the helpers it called priced are
+        charged then, in one clock charge per host.  The TCB analyzer
+        does not read it.
     """
 
     def decorate(fn: Callable) -> Callable:
@@ -76,8 +78,14 @@ def driver_fn(
                     f"{self.NAME}: function {name!r} was compiled out of "
                     f"this build"
                 )
-            self.host.on_driver_call(self.NAME, info)
-            return fn(self, *args, **kwargs)
+            host = self.host
+            host.on_driver_call(self.NAME, info)
+            if not entry_point:
+                return fn(self, *args, **kwargs)
+            try:
+                return fn(self, *args, **kwargs)
+            finally:
+                host.settle()
 
         wrapper.driver_info = info  # type: ignore[attr-defined]
         return wrapper
@@ -91,7 +99,8 @@ class Driver:
     Subclasses define functionality as ``@driver_fn``-decorated methods.
     Each call passes through the host's ``on_driver_call`` hook (per-call
     bookkeeping cycles, plus the trace record while a tracer is recording)
-    and the compiled-out check of a minimized build.
+    and the compiled-out check of a minimized build; an entry point also
+    settles the host's pending cycles on the way out.
     """
 
     NAME = "driver.base"

@@ -8,13 +8,13 @@ needs from its environment:
   hands out *non-secure* DRAM the untrusted OS can read, while
   :class:`SecureDriverHost` hands out buffers in the *secure* carveout),
 * physical memory and MMIO access in the host's world,
-* cycle charging,
+* cycle accounting, charged once per driver entry point (``settle``),
 * the ftrace hookpoint (``on_driver_call``).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Protocol
+from typing import TYPE_CHECKING
 
 from repro.drivers.base import DriverFunctionInfo
 from repro.tz.machine import TrustZoneMachine
@@ -25,30 +25,57 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.optee.pta import PtaContext
 
 
-class DriverHost(Protocol):
-    """Environment services a driver consumes."""
+class DriverHost:
+    """Environment services a driver consumes, and their cycle accounting.
 
-    machine: TrustZoneMachine
+    The per-call bookkeeping, ``compute`` and memory cycles a driver spends
+    add up in ``pending``; :meth:`settle` charges them to the host's world
+    in one clock charge, which a ``@driver_fn`` entry point does when it
+    returns or raises.  Every memory access is still made, TZASC-checked
+    and counted one by one; only the clock charges are merged.
+    """
 
-    @property
-    def world(self) -> World:
-        """World this host's buffers and accesses belong to."""
-        ...
+    world: World  # the world this host's buffers and accesses belong to
 
-    def alloc_buffer(self, size: int) -> int: ...
+    def __init__(self, machine: TrustZoneMachine):
+        self.machine = machine
+        self.tracer: "FunctionTracer | None" = None
+        self.pending = 0
 
-    def free_buffer(self, addr: int) -> None: ...
+    def alloc_buffer(self, size: int) -> int:  # pragma: no cover - interface
+        raise NotImplementedError
 
-    def read_mem(self, addr: int, size: int) -> bytes: ...
+    def free_buffer(self, addr: int) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
 
-    def write_mem(self, addr: int, data: bytes) -> None: ...
+    def read_mem(self, addr: int, size: int) -> bytes:  # pragma: no cover - interface
+        raise NotImplementedError
 
-    def compute(self, cycles: int) -> None: ...
+    def write_mem(self, addr: int, data: bytes) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
 
-    def on_driver_call(self, driver: str, info: DriverFunctionInfo) -> None: ...
+    def attach_tracer(self, tracer: "FunctionTracer") -> None:
+        """Connect an ftrace-style tracer."""
+        self.tracer = tracer
+
+    def compute(self, cycles: int) -> None:
+        """Price CPU work in this host's world."""
+        self.pending += cycles
+
+    def on_driver_call(self, driver: str, info: DriverFunctionInfo) -> None:
+        """Bookkeeping + ftrace hook for one driver function call."""
+        self.pending += self.machine.costs.driver_call_cycles
+        tracer = self.tracer
+        if tracer is not None and tracer.active:
+            tracer.record(driver, info)
+
+    def settle(self) -> None:
+        """Charge the pending cycles to this host's world."""
+        self.machine.clock.advance(self.pending, self.world.domain)
+        self.pending = 0
 
 
-class KernelDriverHost:
+class KernelDriverHost(DriverHost):
     """Hosts a driver inside the untrusted kernel (the baseline).
 
     I/O buffers come from non-secure DRAM, so raw peripheral data is
@@ -56,18 +83,7 @@ class KernelDriverHost:
     out to close.
     """
 
-    def __init__(self, machine: TrustZoneMachine):
-        self.machine = machine
-        self.tracer: "FunctionTracer | None" = None
-
-    @property
-    def world(self) -> World:
-        """Kernel drivers run in the normal world."""
-        return World.NORMAL
-
-    def attach_tracer(self, tracer: "FunctionTracer") -> None:
-        """Connect the kernel's ftrace-style tracer."""
-        self.tracer = tracer
+    world = World.NORMAL
 
     def alloc_buffer(self, size: int) -> int:
         """DMA-able buffer in *non-secure* DRAM."""
@@ -79,24 +95,16 @@ class KernelDriverHost:
 
     def read_mem(self, addr: int, size: int) -> bytes:
         """Load as the normal world (TZASC applies)."""
-        return self.machine.memory.read(addr, size, World.NORMAL)
+        data, cycles = self.machine.memory.load(addr, size, World.NORMAL)
+        self.pending += cycles
+        return data
 
     def write_mem(self, addr: int, data: bytes) -> None:
         """Store as the normal world (TZASC applies)."""
-        self.machine.memory.write(addr, data, World.NORMAL)
-
-    def compute(self, cycles: int) -> None:
-        """Charge normal-world CPU work."""
-        self.machine.clock.advance(cycles, World.NORMAL.domain)
-
-    def on_driver_call(self, driver: str, info: DriverFunctionInfo) -> None:
-        """Bookkeeping + ftrace hook for one driver function call."""
-        self.compute(self.machine.costs.driver_call_cycles)
-        if self.tracer is not None and self.tracer.active:
-            self.tracer.record(driver, info)
+        self.pending += self.machine.memory.store(addr, data, World.NORMAL)
 
 
-class SecureDriverHost:
+class SecureDriverHost(DriverHost):
     """Hosts a (minimized) driver inside OP-TEE, behind a PTA.
 
     Buffers come from the secure DRAM carveout: "the driver's I/O buffers
@@ -105,19 +113,11 @@ class SecureDriverHost:
     so conformance runs can compare call behaviour across hosts.
     """
 
+    world = World.SECURE
+
     def __init__(self, pta_ctx: "PtaContext"):
+        super().__init__(pta_ctx.machine)
         self._ctx = pta_ctx
-        self.machine = pta_ctx.machine
-        self.tracer: "FunctionTracer | None" = None
-
-    @property
-    def world(self) -> World:
-        """Secure-world host."""
-        return World.SECURE
-
-    def attach_tracer(self, tracer: "FunctionTracer") -> None:
-        """Connect a tracer (used by cross-host conformance checks)."""
-        self.tracer = tracer
 
     def alloc_buffer(self, size: int) -> int:
         """DMA-able buffer in the *secure* carveout."""
@@ -128,21 +128,15 @@ class SecureDriverHost:
         self._ctx.free_secure(addr)
 
     def read_mem(self, addr: int, size: int) -> bytes:
-        """Load as the secure world."""
-        return self._ctx.read_phys(addr, size)
+        """Load as the secure world (the CPU must be in it)."""
+        machine = self.machine
+        machine.cpu.require_world(World.SECURE)
+        data, cycles = machine.memory.load(addr, size, World.SECURE)
+        self.pending += cycles
+        return data
 
     def write_mem(self, addr: int, data: bytes) -> None:
-        """Store as the secure world."""
-        self._ctx.write_phys(addr, data)
-
-    def compute(self, cycles: int) -> None:
-        """Charge secure-world CPU work (the PTA runs in the secure world)."""
-        self.machine.cpu.execute(cycles)
-
-    def on_driver_call(self, driver: str, info: DriverFunctionInfo) -> None:
-        """Bookkeeping + optional tracing for one driver function call."""
+        """Store as the secure world (the CPU must be in it)."""
         machine = self.machine
-        machine.cpu.execute(machine.costs.driver_call_cycles)
-        tracer = self.tracer
-        if tracer is not None and tracer.active:
-            tracer.record(driver, info)
+        machine.cpu.require_world(World.SECURE)
+        self.pending += machine.memory.store(addr, data, World.SECURE)

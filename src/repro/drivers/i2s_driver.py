@@ -42,6 +42,8 @@ controller produced nothing for an entire period; three in a row is a
 dead or disabled device (RX off, dead clock, fault injection), not
 scheduling jitter.  Without a budget such a loop never terminates."""
 
+_I16 = np.dtype("<i2")  # the sample half of a FIFO word, as the drains view it
+
 
 class I2sDriver(Driver):
     """Instrumented I²S capture/playback driver."""
@@ -334,7 +336,7 @@ class I2sDriver(Driver):
             if level == 0:
                 break
             n = min(level, max_words - filled)
-            out[filled : filled + n] = self._fifo_window_read(n).view("<i2")[::2]
+            out[filled : filled + n] = self._fifo_window_read(n).view(_I16)[::2]
             filled += n
         return out[:filled]
 
@@ -381,7 +383,7 @@ class I2sDriver(Driver):
                 break
             raw = self.host.read_mem(self._dma_staging_addr, moved * 4)
             words = np.frombuffer(raw, dtype="<u4")
-            out[filled : filled + moved] = words.view("<i2")[::2]
+            out[filled : filled + moved] = words.view(_I16)[::2]
             filled += moved
         return out[:filled]
 

@@ -14,7 +14,9 @@ They operate *through* a live :class:`~repro.drivers.i2s_driver.I2sDriver`
 instance's register helpers, so both paths pay the same class of MMIO
 traffic — they are deliberately plain functions, not ``@driver_fn``
 members, to keep the driver's TCB metadata (LoC accounting, trace-and-
-strip function inventory) unchanged.
+strip function inventory) unchanged.  Being no entry points, they settle
+the host themselves before returning, so each leaves nothing pending, as
+an entry point does.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ def drain_fifo_pio_scalar(driver: I2sDriver, max_words: int) -> np.ndarray:
         if sample >= 0x8000:
             sample -= 0x10000
         out.append(sample)
+    driver.host.settle()
     return np.array(out, dtype=np.int16)
 
 
@@ -60,4 +63,5 @@ def read_chunk_scalar(driver: I2sDriver) -> np.ndarray:
     from repro.peripherals.codec import pcm16_encode
 
     driver.host.write_mem(driver._buf_addr, pcm16_encode(pcm))
+    driver.host.settle()
     return pcm

@@ -77,6 +77,11 @@ class StatusBits(enum.IntFlag):
 
 _RX_ON = int(CtrlBits.ENABLE | CtrlBits.RX_ENABLE)
 
+# Plain-int offsets for ``mmio_read``, which runs once per FIFO_LEVEL poll:
+# ``int == IntEnum`` costs about eight times ``int == int``.
+(_CTRL, _STATUS, _FIFO, _SAMPLE_RATE, _FIFO_LEVEL, _FRAME_COUNT,
+ _OVERRUN_COUNT) = map(int, I2sReg)
+
 
 class _WordFifo:
     """RX FIFO of 32-bit words, held as little-endian bus bytes.
@@ -254,7 +259,7 @@ class I2sController(MmioHandler):
         can't conjure frames mid-burst — so a window read larger than
         the current level underruns.
         """
-        if offset == I2sReg.FIFO and size > 4:
+        if offset == _FIFO and size > 4:
             if size % 4:
                 raise BusProtocolError(
                     f"I2S FIFO window reads are word-multiples (got {size} bytes)"
@@ -262,19 +267,19 @@ class I2sController(MmioHandler):
             return self._fifo.pop_bytes(size // 4)
         if size != 4:
             raise BusProtocolError(f"I2S registers are 32-bit (got {size}-byte read)")
-        if offset == I2sReg.CTRL:
+        if offset == _FIFO_LEVEL:
+            value = len(self._fifo)
+        elif offset == _CTRL:
             value = self._ctrl
-        elif offset == I2sReg.STATUS:
+        elif offset == _STATUS:
             value = self._status()
-        elif offset == I2sReg.FIFO:
+        elif offset == _FIFO:
             value = self.pop_word()
-        elif offset == I2sReg.SAMPLE_RATE:
+        elif offset == _SAMPLE_RATE:
             value = self.format.sample_rate
-        elif offset == I2sReg.FIFO_LEVEL:
-            value = self.fifo_level
-        elif offset == I2sReg.FRAME_COUNT:
+        elif offset == _FRAME_COUNT:
             value = self._frame_count & 0xFFFFFFFF
-        elif offset == I2sReg.OVERRUN_COUNT:
+        elif offset == _OVERRUN_COUNT:
             value = self._overrun_count & 0xFFFFFFFF
         else:
             raise BusProtocolError(f"I2S: read of unknown register 0x{offset:x}")

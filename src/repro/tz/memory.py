@@ -133,10 +133,10 @@ class PhysicalMemory:
 
     All architectural loads/stores go through :meth:`read` / :meth:`write`,
     which resolve the target region, apply the TZASC check for the acting
-    world and charge memory cycles; a TZASC fault is recorded as a
-    ``tz.fault`` event on the tracer.  Device regions may attach MMIO
-    handlers that intercept accesses (used by the I²S controller's
-    register file).
+    world and charge memory cycles (:meth:`load` / :meth:`store` return
+    the cycles instead); a TZASC fault is recorded as a ``tz.fault`` event
+    on the tracer.  Device regions may attach MMIO handlers that intercept
+    accesses (used by the I²S controller's register file).
     """
 
     def __init__(
@@ -209,33 +209,46 @@ class PhysicalMemory:
 
     def read(self, addr: int, size: int, world: World) -> bytes:
         """Architectural load with TZASC enforcement and cycle charging."""
-        region = self._access(addr, size, world, write=False)
-        handler = self._mmio_handlers.get(region.name)
-        if handler is not None:
-            return handler.mmio_read(addr - region.base, size)
-        return region.read_raw(addr, size)
+        data, cycles = self.load(addr, size, world)
+        self.clock.advance(cycles, world.domain)
+        return data
 
     def write(self, addr: int, data: bytes, world: World) -> None:
         """Architectural store with TZASC enforcement and cycle charging."""
-        region = self._access(addr, len(data), world, write=True)
+        self.clock.advance(self.store(addr, data, world), world.domain)
+
+    def load(self, addr: int, size: int, world: World) -> tuple[bytes, int]:
+        """:meth:`read` without the charge: returns ``(data, cycles)``, for
+        a driver host to charge when the driver entry point returns."""
+        region, cycles = self._access(addr, size, world, write=False)
+        handler = self._mmio_handlers.get(region.name)
+        if handler is not None:
+            return handler.mmio_read(addr - region.base, size), cycles
+        return region.read_raw(addr, size), cycles
+
+    def store(self, addr: int, data: bytes, world: World) -> int:
+        """:meth:`write` without the charge: returns its cycles."""
+        region, cycles = self._access(addr, len(data), world, write=True)
         handler = self._mmio_handlers.get(region.name)
         if handler is not None:
             handler.mmio_write(addr - region.base, data)
-            return
-        region.write_raw(addr, data)
+        else:
+            region.write_raw(addr, data)
+        return cycles
 
     # -- internals ------------------------------------------------------------
 
     def _access(
         self, addr: int, size: int, world: World, write: bool
-    ) -> MemoryRegion:
-        """Resolve, TZASC-check, count and charge one transaction.
+    ) -> tuple[MemoryRegion, int]:
+        """Resolve, TZASC-check and count one transaction; price it.
 
         The hardware rule: the secure world sees every partition, the
         normal world only non-secure ones.  A permitted access counts once
-        and charges its memory cycles to ``world``'s domain; a faulting one
-        counts in both counters, emits a ``tz.fault`` event and raises
-        before any charge.
+        and returns its region and memory cycles; a faulting one counts in
+        both counters, emits a ``tz.fault`` event and raises, so it is
+        never charged.  Nor is one the device rejects (an MMIO handler
+        that raises).
         """
         region = self.resolve(addr, size)
         self.access_count += 1
@@ -253,9 +266,7 @@ class PhysicalMemory:
             raise SecureAccessViolation(
                 f"{world.value} world access to secure region {region.name!r}"
             )
-        self.clock.advance(self.costs.mem_copy_cycles(size, secure),
-                           world.domain)
-        return region
+        return region, self.costs.mem_copy_cycles(size, secure)
 
 
 class MmioHandler:
